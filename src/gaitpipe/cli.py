@@ -10,6 +10,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -113,10 +114,7 @@ def cmd_aggregate(args) -> int:
 
 
 def _synth_config_from_json(doc: dict) -> synth.SynthConfig:
-    known = {"duration_s", "sample_rate_hz", "stride_s", "ic_phase", "fc_phase",
-             "vertical_amp", "ap_amp", "yaw_amp", "noise_sigma",
-             "sensor_rotation", "script", "seed"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(synth.SynthConfig)}
     if unknown:
         raise GaitPipeError(f"unknown synth config keys: {sorted(unknown)}")
     kwargs = dict(doc)

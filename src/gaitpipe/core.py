@@ -161,21 +161,6 @@ class GaitEvent:
 # ---------------------------------------------------------------------------
 # Quaternions (w, x, y, z), unit norm
 
-def quat_multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = p
-    w2, x2, y2, z2 = q
-    return np.array([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
-
-
-def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     return np.asarray(q, dtype=float) / np.linalg.norm(q)
 
@@ -192,11 +177,6 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return quat_to_matrix(q) @ np.asarray(v, dtype=float)
-
-
-def rotate_array(q: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """Rotate every row of an (N, 3) array by a fixed quaternion."""
-    return np.asarray(arr, dtype=float) @ quat_to_matrix(q).T
 
 
 def quat_from_two_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:

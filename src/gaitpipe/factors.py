@@ -8,16 +8,14 @@ component-wise random-walk Metropolis on unconstrained coordinates
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import kernels
 from .core import ContractError, DiagnosticsError, EmptySetError, ParseError
+from .ingest import csv_rows, finite_float
 
 F1_CLAMP = 1e-4
 SEX_LEVELS = {"F": 0, "M": 1}
@@ -26,6 +24,7 @@ ENV_LEVELS = {"Indoor": 0, "Outdoor": 1}
 AID_LEVELS = {"WithAid": 0, "WithoutAid": 1}
 
 DEFAULT_PRIOR_SCALE = 1.0 / 100.0
+FACTOR_HEADER = ["f1", "age", "sex", "disease", "subject", "environment", "aid"]
 
 
 @dataclass
@@ -77,50 +76,27 @@ def load_factor_table(source) -> list[FactorObservation]:
 
     Ages are standardized to z-scores across the table.
     """
-    if isinstance(source, (str, Path)):
-        fh = open(source, "r", encoding="utf-8", newline="")
-    elif isinstance(source, bytes):
-        fh = io.StringIO(source.decode("utf-8"))
-    else:
-        fh = source
     rows = []
-    try:
-        reader = csv.reader(fh)
+    for lineno, row in csv_rows(source, FACTOR_HEADER):
+        f1_raw, age_raw, sex, disease, subject, env, aid = (v.strip() for v in row)
+        f1 = finite_float(f1_raw, lineno)
+        age = finite_float(age_raw, lineno)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty factor table")
-        expected = ["f1", "age", "sex", "disease", "subject", "environment", "aid"]
-        if [h.strip() for h in header] != expected:
-            raise ParseError(f"bad header {header!r}, expected {expected}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 7:
-                raise ParseError(f"line {lineno}: expected 7 fields")
-            f1_raw, age_raw, sex, disease, subject, env, aid = \
-                (v.strip() for v in row)
-            try:
-                f1 = float(f1_raw)
-                age = float(age_raw)
-                subject_idx = int(subject)
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            if sex not in SEX_LEVELS:
-                raise ParseError(f"line {lineno}: sex must be F or M")
-            if disease not in DISEASE_LEVELS:
-                raise ParseError(f"line {lineno}: disease must be one of "
-                                 f"{sorted(DISEASE_LEVELS)}")
-            if env not in ENV_LEVELS:
-                raise ParseError(f"line {lineno}: environment must be "
-                                 "Indoor or Outdoor")
-            if aid not in AID_LEVELS:
-                raise ParseError(f"line {lineno}: aid must be WithAid or WithoutAid")
-            rows.append((f1, age, sex, DISEASE_LEVELS[disease], subject_idx,
-                         env, aid))
-    finally:
-        if isinstance(source, (str, Path, bytes)):
-            fh.close()
+            subject_idx = int(subject)
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        if sex not in SEX_LEVELS:
+            raise ParseError(f"line {lineno}: sex must be F or M")
+        if disease not in DISEASE_LEVELS:
+            raise ParseError(f"line {lineno}: disease must be one of "
+                             f"{sorted(DISEASE_LEVELS)}")
+        if env not in ENV_LEVELS:
+            raise ParseError(f"line {lineno}: environment must be "
+                             "Indoor or Outdoor")
+        if aid not in AID_LEVELS:
+            raise ParseError(f"line {lineno}: aid must be WithAid or WithoutAid")
+        rows.append((f1, age, sex, DISEASE_LEVELS[disease], subject_idx,
+                     env, aid))
     if not rows:
         raise ParseError("factor table has no data rows")
     ages = np.array([r[1] for r in rows])

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -34,36 +35,57 @@ def _open_text(source):
     return source
 
 
-def load_recording(source, device_id: str = "", session_id: str = "") -> ImuRecording:
-    """Parse a recording CSV into an ImuRecording, preserving sample order."""
+def csv_rows(source, header: list[str]):
+    """Yield ``(lineno, fields)`` for every non-empty data row of a CSV.
+
+    ``source`` is a path, raw bytes, or an open text stream (left open).
+    The first line must equal ``header`` up to whitespace, and every row
+    must have as many fields; violations raise ParseError with the line
+    number.
+    """
     fh = _open_text(source)
     try:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            first = next(reader)
         except StopIteration:
-            raise ParseError("empty file: missing header")
-        if [h.strip() for h in header] != RECORDING_HEADER:
-            raise ParseError(f"bad header {header!r}, expected {RECORDING_HEADER}")
-        rows = []
+            raise ParseError("empty file: missing header") from None
+        if [h.strip() for h in first] != header:
+            raise ParseError(f"bad header {first!r}, expected {header}")
+        n = len(header)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 7:
-                raise ParseError(f"line {lineno}: expected 7 fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
+            if len(row) != n:
+                raise ParseError(f"line {lineno}: expected {n} fields, got {len(row)}")
+            yield lineno, row
     finally:
-        if isinstance(source, (str, Path, bytes)):
+        if fh is not source:
             fh.close()
 
+
+def finite_float(text: str, lineno: int) -> float:
+    """Parse one CSV number; nan, inf and non-numbers raise ParseError."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"line {lineno}: non-finite value {text.strip()!r}")
+    return value
+
+
+def load_recording(source, device_id: str = "", session_id: str = "") -> ImuRecording:
+    """Parse a recording CSV into an ImuRecording, preserving sample order."""
+    rows = []
+    for lineno, row in csv_rows(source, RECORDING_HEADER):
+        try:
+            rows.append(list(map(float, row)))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
     data = np.asarray(rows, dtype=float).reshape(-1, 7)
     rec = ImuRecording(t=data[:, 0], accel=data[:, 1:4], gyro=data[:, 4:7],
                        device_id=device_id, session_id=session_id)
-    if len(rec.t) >= 2 and not np.all(np.diff(rec.t) > 0):
-        raise ContractError("timestamps must be strictly increasing")
     rec.validate()
     return rec
 
@@ -80,34 +102,15 @@ def write_recording(rec: ImuRecording, path) -> None:
 
 def load_reference_events(source) -> list[GaitEvent]:
     """Parse a reference event CSV (``t,kind,side``) into GaitEvents."""
-    fh = _open_text(source)
-    try:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file: missing header")
-        if [h.strip() for h in header] != EVENTS_HEADER:
-            raise ParseError(f"bad header {header!r}, expected {EVENTS_HEADER}")
-        events = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"line {lineno}: expected 3 fields")
-            t_raw, kind, side = (v.strip() for v in row)
-            if kind not in ("IC", "FC"):
-                raise ParseError(f"line {lineno}: kind must be IC or FC")
-            if side not in ("L", "R", "U"):
-                raise ParseError(f"line {lineno}: side must be L, R, or U")
-            try:
-                t = float(t_raw)
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            events.append(GaitEvent(time_s=t, kind=kind, side=side))
-    finally:
-        if isinstance(source, (str, Path, bytes)):
-            fh.close()
+    events = []
+    for lineno, row in csv_rows(source, EVENTS_HEADER):
+        t_raw, kind, side = (v.strip() for v in row)
+        if kind not in ("IC", "FC"):
+            raise ParseError(f"line {lineno}: kind must be IC or FC")
+        if side not in ("L", "R", "U"):
+            raise ParseError(f"line {lineno}: side must be L, R, or U")
+        events.append(GaitEvent(time_s=finite_float(t_raw, lineno),
+                                kind=kind, side=side))
     return events
 
 

@@ -21,53 +21,34 @@ from .segmentation import SegmentationConfig
 
 
 @dataclass
-class PipelineConfig:
-    """Every tunable constant of the pipeline, flat for easy serialization."""
+class PipelineConfig(SegmentationConfig):
+    """Every tunable constant of the pipeline, flat for easy serialization.
+
+    The segmentation keys are inherited from SegmentationConfig, so a
+    PipelineConfig is passed as is wherever a SegmentationConfig is taken.
+    """
 
     resample_hz: float | None = None
     lowpass_cutoff_hz: float = 17.0
     madgwick_beta: float = 0.041
-    window_s: float = 0.6
-    accel_ref: float = 9.81
-    accel_tol: float = 0.10
-    gyro_thresh: float = 0.6
-    std_thresh: float = 0.2
-    merge_gap_s: float = 1.0
-    rest_split_s: float = 2.0
-    min_bout_s: float = 2.0
-    boundary_margin_s: float = 2.0
-    sharp_turn_deg: float = 90.0
-    turn_lowpass_hz: float = 1.5
-    turn_start_dps: float = 15.0
-    turn_stop_dps: float = 5.0
-    turn_merge_s: float = 0.05
-    stride_lag_min_s: float = 0.4
-    stride_lag_max_s: float = 2.25
-    autocorr_peak_min: float = 0.3
     match_window_s: float = 0.5
     # optional overrides for the adaptive wavelet parameter estimation
     wavelet_scale: float | None = None
     wavelet_axis: str | None = None
     wavelet_sign: int | None = None
 
-    def segmentation(self) -> SegmentationConfig:
-        cfg = SegmentationConfig(
-            window_s=self.window_s, accel_ref=self.accel_ref,
-            accel_tol=self.accel_tol, gyro_thresh=self.gyro_thresh,
-            std_thresh=self.std_thresh, merge_gap_s=self.merge_gap_s,
-            rest_split_s=self.rest_split_s, min_bout_s=self.min_bout_s,
-            boundary_margin_s=self.boundary_margin_s,
-            sharp_turn_deg=self.sharp_turn_deg,
-            turn_lowpass_hz=self.turn_lowpass_hz,
-            turn_start_dps=self.turn_start_dps,
-            turn_stop_dps=self.turn_stop_dps,
-            turn_merge_s=self.turn_merge_s,
-            stride_lag_min_s=self.stride_lag_min_s,
-            stride_lag_max_s=self.stride_lag_max_s,
-            autocorr_peak_min=self.autocorr_peak_min,
-        )
-        cfg.validate()
-        return cfg
+    def validate(self) -> None:
+        super().validate()
+        if self.lowpass_cutoff_hz <= 0 or self.madgwick_beta <= 0:
+            raise ConfigurationError("filter cutoff and Madgwick beta must be positive")
+        if self.match_window_s <= 0:
+            raise ConfigurationError("match window must be positive")
+        if self.wavelet_scale is not None and self.wavelet_scale <= 0:
+            raise ConfigurationError("wavelet_scale must be positive")
+        if self.wavelet_axis not in (None, stepdetect.AXIS_VERTICAL, stepdetect.AXIS_AP):
+            raise ConfigurationError("wavelet_axis must be vertical or antero_posterior")
+        if self.wavelet_sign not in (None, -1, 1):
+            raise ConfigurationError("wavelet_sign must be -1 or 1")
 
     def to_json(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -79,15 +60,7 @@ class PipelineConfig:
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**doc)
-        cfg.segmentation()
-        if cfg.lowpass_cutoff_hz <= 0 or cfg.madgwick_beta <= 0:
-            raise ConfigurationError("filter cutoff and Madgwick beta must be positive")
-        if cfg.match_window_s <= 0:
-            raise ConfigurationError("match window must be positive")
-        if cfg.wavelet_axis not in (None, stepdetect.AXIS_VERTICAL, stepdetect.AXIS_AP):
-            raise ConfigurationError("wavelet_axis must be vertical or antero_posterior")
-        if cfg.wavelet_sign not in (None, -1, 1):
-            raise ConfigurationError("wavelet_sign must be -1 or 1")
+        cfg.validate()
         return cfg
 
     @classmethod
@@ -115,17 +88,17 @@ def process_recording(rec: ImuRecording,
                       config: PipelineConfig | None = None) -> PipelineResult:
     """Run ingest regularization through step detection on one recording."""
     config = config or PipelineConfig()
-    seg_cfg = config.segmentation()
+    config.validate()
 
     rec = ingest.ensure_uniform(rec, config.resample_hz)
     if config.lowpass_cutoff_hz < rec.sample_rate / 2.0:
         rec = ingest.lowpass_accel(rec, config.lowpass_cutoff_hz)
     aligned = orientation.align_recording(rec, beta=config.madgwick_beta)
 
-    segments = segmentation.segment(aligned, seg_cfg)
-    turns = segmentation.detect_turns(aligned, seg_cfg)
-    bouts = segmentation.eligible_bouts(aligned, segments, turns, seg_cfg)
-    segments = segmentation.refine_with_turns(segments, turns, seg_cfg)
+    segments = segmentation.segment(aligned, config)
+    turns = segmentation.detect_turns(aligned, config)
+    segments = segmentation.refine_with_turns(segments, turns, config)
+    bouts = segmentation.eligible_bouts(aligned, segments, config)
 
     fs = aligned.sample_rate
     t0 = aligned.t[0]
@@ -140,11 +113,11 @@ def process_recording(rec: ImuRecording,
             anat_frame = frame_mod.estimate_frame(accel, fs)
             accel_an = frame_mod.to_anatomical(accel, anat_frame)
             gyro_an = frame_mod.to_anatomical(gyro, anat_frame)
-            if not frame_mod.verify_frame(accel_an, fs, seg_cfg):
+            if not frame_mod.verify_frame(accel_an, fs, config):
                 results.append(BoutResult(bout.start_s, bout.end_s, [],
                                           "frame verification failed"))
                 continue
-            stride = stepdetect.estimate_stride_duration(accel_an[:, 0], fs, seg_cfg)
+            stride = stepdetect.estimate_stride_duration(accel_an[:, 0], fs, config)
             params = stepdetect.estimate_wavelet_params(accel_an, fs, stride)
             if config.wavelet_scale is not None:
                 params.scale = config.wavelet_scale

@@ -56,9 +56,9 @@ class TurnInterval:
     end_s: float
     angle_deg: float
 
-    @property
-    def is_sharp(self) -> bool:
-        return abs(self.angle_deg) >= 90.0
+    def is_sharp(self, cfg: SegmentationConfig | None = None) -> bool:
+        """Whether the turn reaches ``cfg.sharp_turn_deg`` either way."""
+        return abs(self.angle_deg) >= (cfg or SegmentationConfig()).sharp_turn_deg
 
 
 def window_bounds(n_samples: int, fs: float, cfg: SegmentationConfig):
@@ -256,10 +256,10 @@ def verify_gait(vertical_accel: np.ndarray, fs: float,
 def refine_with_turns(segments: list[Segment], turns: list[TurnInterval],
                       cfg: SegmentationConfig | None = None) -> list[Segment]:
     """Relabel the sharp-turn spans inside gait bouts as SharpTurn
-    segments, splitting the bouts around them."""
+    segments, splitting the bouts around them. This is the one place
+    where bouts are split at turns."""
     cfg = cfg or SegmentationConfig()
-    sharp = sorted((t for t in turns if abs(t.angle_deg) >= cfg.sharp_turn_deg),
-                   key=lambda t: t.start_s)
+    sharp = sorted((t for t in turns if t.is_sharp(cfg)), key=lambda t: t.start_s)
     out = []
     for seg in segments:
         if seg.kind != SegmentKind.GAIT_BOUT:
@@ -284,36 +284,18 @@ def refine_with_turns(segments: list[Segment], turns: list[TurnInterval],
 
 
 def eligible_bouts(rec: GravityAlignedRecording, segments: list[Segment],
-                   turns: list[TurnInterval],
                    cfg: SegmentationConfig | None = None) -> list[Segment]:
-    """Gait bouts split at sharp turns, re-filtered by duration and
-    gait verification."""
+    """The gait bouts of already refined segments (see refine_with_turns)
+    that last at least ``min_bout_s`` and pass gait verification."""
     cfg = cfg or SegmentationConfig()
-    sharp = sorted((t for t in turns if abs(t.angle_deg) >= cfg.sharp_turn_deg),
-                   key=lambda t: t.start_s)
     fs = rec.sample_rate
     t0 = rec.t[0]
     out = []
     for seg in segments:
-        if seg.kind != SegmentKind.GAIT_BOUT:
+        if seg.kind != SegmentKind.GAIT_BOUT or seg.duration_s < cfg.min_bout_s:
             continue
-        pieces = [(seg.start_s, seg.end_s)]
-        for turn in sharp:
-            next_pieces = []
-            for a, b in pieces:
-                if turn.end_s <= a or turn.start_s >= b:
-                    next_pieces.append((a, b))
-                    continue
-                if turn.start_s > a:
-                    next_pieces.append((a, turn.start_s))
-                if turn.end_s < b:
-                    next_pieces.append((turn.end_s, b))
-            pieces = next_pieces
-        for a, b in pieces:
-            if b - a < cfg.min_bout_s:
-                continue
-            i0 = int(round((a - t0) * fs))
-            i1 = int(round((b - t0) * fs))
-            if verify_gait(rec.vertical_accel[i0:i1], fs, cfg):
-                out.append(Segment(start_s=a, end_s=b, kind=SegmentKind.GAIT_BOUT))
+        i0 = int(round((seg.start_s - t0) * fs))
+        i1 = int(round((seg.end_s - t0) * fs))
+        if verify_gait(rec.vertical_accel[i0:i1], fs, cfg):
+            out.append(seg)
     return out

@@ -25,7 +25,7 @@ from .core import (
     SIDE_RIGHT,
     quat_to_matrix,
 )
-from .segmentation import GRAVITY, TurnInterval
+from .segmentation import GRAVITY, TurnInterval, refine_with_turns
 
 SECOND_HARMONIC = 0.2
 STEP_MODULATION = 0.3
@@ -128,7 +128,8 @@ def generate(cfg: SynthConfig):
     def close_walk_run(end_s):
         nonlocal walk_run_start
         if walk_run_start is not None and end_s > walk_run_start:
-            _emit_bout_segments(segments, turns, walk_run_start, end_s)
+            segments.append(Segment(start_s=walk_run_start, end_s=end_s,
+                                    kind=SegmentKind.GAIT_BOUT))
             walk_run_start = None
 
     for phase, a, b in zip(phases, starts[:-1], starts[1:]):
@@ -183,23 +184,5 @@ def generate(cfg: SynthConfig):
     rec = ImuRecording(t=t, accel=accel, gyro=gyro, sample_rate=fs,
                        device_id="synth", session_id=f"seed{cfg.seed}")
     events.sort(key=lambda e: (e.time_s, e.kind))
-    segments.sort(key=lambda s: s.start_s)
-    return rec, events, segments, turns
-
-
-def _emit_bout_segments(segments, turns, start_s, end_s):
-    """Split a walk run at sharp turns; non-sharp turns stay inside."""
-    sharp = [tr for tr in turns
-             if abs(tr.angle_deg) >= 90.0 and tr.start_s >= start_s
-             and tr.end_s <= end_s]
-    cursor = start_s
-    for tr in sorted(sharp, key=lambda tr: tr.start_s):
-        if tr.start_s > cursor:
-            segments.append(Segment(start_s=cursor, end_s=tr.start_s,
-                                    kind=SegmentKind.GAIT_BOUT))
-        segments.append(Segment(start_s=tr.start_s, end_s=tr.end_s,
-                                kind=SegmentKind.SHARP_TURN))
-        cursor = tr.end_s
-    if end_s > cursor:
-        segments.append(Segment(start_s=cursor, end_s=end_s,
-                                kind=SegmentKind.GAIT_BOUT))
+    # walk runs split at sharp turns; non-sharp turns stay inside
+    return rec, events, refine_with_turns(segments, turns), turns

@@ -54,6 +54,13 @@ class TestLoadFactorTable:
         with pytest.raises(ParseError, match="line 2"):
             factors.load_factor_table(table(["oops,50,F,HC,0,Indoor,WithAid"]))
 
+    @pytest.mark.parametrize("row", ["nan,50,F,HC,1,Indoor,WithAid",
+                                     "0.9,inf,F,HC,1,Indoor,WithAid",
+                                     "0.9,-inf,F,HC,1,Indoor,WithAid"])
+    def test_non_finite_numeric_reports_line(self, row):
+        with pytest.raises(ParseError, match="line 3"):
+            factors.load_factor_table(table(["0.9,50,F,HC,0,Indoor,WithAid", row]))
+
     def test_bad_level_values(self):
         for row in ("0.9,50,X,HC,0,Indoor,WithAid",
                     "0.9,50,F,bad,0,Indoor,WithAid",

@@ -82,6 +82,12 @@ class TestReferenceEvents:
         with pytest.raises(ParseError, match="kind"):
             ingest.load_reference_events(b"t,kind,side\n1.0,XX,L\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_time_reports_line(self, value):
+        csv = f"t,kind,side\n1.0,IC,L\n{value},IC,R\n".encode()
+        with pytest.raises(ParseError, match="line 3"):
+            ingest.load_reference_events(csv)
+
 
 class TestResample:
     def test_constant_on_irregular_grid(self):

@@ -18,15 +18,22 @@ class TestPipelineConfig:
         with pytest.raises(ConfigurationError, match="bogus"):
             PipelineConfig.from_json({"bogus": 1})
 
-    def test_invalid_values_rejected(self):
+    @pytest.mark.parametrize("bad", [
+        {"lowpass_cutoff_hz": -1.0},
+        {"gyro_thresh": 0.05},
+        {"wavelet_axis": "sideways"},
+        {"wavelet_sign": 2},
+        {"madgwick_beta": -1.0},
+        {"match_window_s": -1.0},
+        {"wavelet_scale": -1.0},
+    ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_invalid_values_rejected(self, bad):
+        """JSON and a config built in code go through the same checks."""
         with pytest.raises(ConfigurationError):
-            PipelineConfig.from_json({"lowpass_cutoff_hz": -1.0})
+            PipelineConfig.from_json(bad)
+        rec, _, _, _ = synth.generate(synth.SynthConfig(duration_s=5.0))
         with pytest.raises(ConfigurationError):
-            PipelineConfig.from_json({"gyro_thresh": 0.05})
-        with pytest.raises(ConfigurationError):
-            PipelineConfig.from_json({"wavelet_axis": "sideways"})
-        with pytest.raises(ConfigurationError):
-            PipelineConfig.from_json({"wavelet_sign": 2})
+            pipeline.process_recording(rec, PipelineConfig(**bad))
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -137,14 +137,14 @@ class TestDetectTurns:
         turns = segmentation.detect_turns(rec)
         assert len(turns) == 1
         assert turns[0].angle_deg == pytest.approx(114.59, abs=6.0)
-        assert turns[0].is_sharp
+        assert turns[0].is_sharp()
 
     def test_non_sharp_57_degrees(self):
         rec = self._rec_with_yaw(0.5)
         turns = segmentation.detect_turns(rec)
         assert len(turns) == 1
         assert turns[0].angle_deg == pytest.approx(57.3, abs=4.0)
-        assert not turns[0].is_sharp
+        assert not turns[0].is_sharp()
 
     def test_zero_gyro_no_turns(self):
         rec = static_aligned(8.0)
@@ -194,7 +194,8 @@ class TestEligibleBouts:
     def test_sharp_turn_splits_bout(self):
         script = [Phase("walk", 4.0), Phase("turn", 1.0, 120.0), Phase("walk", 5.0)]
         ga, segs, turns, cfg = self._run(script, 10.0)
-        bouts = segmentation.eligible_bouts(ga, segs, turns, cfg)
+        bouts = segmentation.eligible_bouts(
+            ga, segmentation.refine_with_turns(segs, turns, cfg), cfg)
         assert len(bouts) == 2
         assert bouts[0].duration_s == pytest.approx(4.0, abs=0.7)
         assert bouts[1].duration_s == pytest.approx(5.0, abs=0.7)
@@ -202,7 +203,18 @@ class TestEligibleBouts:
     def test_non_sharp_turn_keeps_bout(self):
         script = [Phase("walk", 4.0), Phase("turn", 2.0, 57.3), Phase("walk", 4.0)]
         ga, segs, turns, cfg = self._run(script, 10.0)
-        bouts = segmentation.eligible_bouts(ga, segs, turns, cfg)
+        bouts = segmentation.eligible_bouts(
+            ga, segmentation.refine_with_turns(segs, turns, cfg), cfg)
+        assert len(bouts) == 1
+        assert bouts[0].duration_s == pytest.approx(10.0, abs=0.7)
+
+    def test_turn_below_configured_sharp_angle_keeps_bout(self):
+        script = [Phase("walk", 4.0), Phase("turn", 1.0, 120.0), Phase("walk", 5.0)]
+        ga, segs, turns, _ = self._run(script, 10.0)
+        cfg = SegmentationConfig(sharp_turn_deg=130.0)
+        assert any(t.is_sharp() and not t.is_sharp(cfg) for t in turns)
+        bouts = segmentation.eligible_bouts(
+            ga, segmentation.refine_with_turns(segs, turns, cfg), cfg)
         assert len(bouts) == 1
         assert bouts[0].duration_s == pytest.approx(10.0, abs=0.7)
 
@@ -212,13 +224,15 @@ class TestEligibleBouts:
         ga = static_aligned(10.0)
         segs = [Segment(2.0, 5.0, SegmentKind.GAIT_BOUT)]
         turns = [TurnInterval(1.0, 6.0, 150.0)]
-        assert segmentation.eligible_bouts(ga, segs, turns) == []
+        assert segmentation.eligible_bouts(
+            ga, segmentation.refine_with_turns(segs, turns)) == []
 
     def test_every_bout_verified_and_long_enough(self):
         script = [Phase("rest", 3.0), Phase("walk", 12.0), Phase("turn", 1.5, 110.0),
                   Phase("walk", 12.0), Phase("rest", 3.0)]
         ga, segs, turns, cfg = self._run(script, 31.5)
-        bouts = segmentation.eligible_bouts(ga, segs, turns, cfg)
+        bouts = segmentation.eligible_bouts(
+            ga, segmentation.refine_with_turns(segs, turns, cfg), cfg)
         assert bouts
         fs = ga.sample_rate
         for b in bouts:
