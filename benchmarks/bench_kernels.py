@@ -2,18 +2,15 @@
 
 Run with:  python3 benchmarks/bench_kernels.py
 
-The Madgwick loop is numba-compiled when numba is importable and
-GAITPIPE_NO_NUMBA is unset; run the script once with GAITPIPE_NO_NUMBA=1
-for the plain-python figure. The chain is numpy either way and is timed at
-the shape of acceptance criterion 7: 60 subjects x 10 observations, two
-chains advanced together.
+The chain is timed at the shape of acceptance criterion 7: 60 subjects x
+10 observations, two chains advanced together.
 """
 import math
 import time
 
 import numpy as np
 
-from gaitpipe import accel, factors, kernels
+from gaitpipe import factors, kernels
 
 
 def best_of(fn, *args, repeats=3):
@@ -31,10 +28,8 @@ def main():
     acc = rng.normal(0, 1, (n, 3)) + np.array([0.0, 0.0, 9.81])
     gyro = rng.normal(0, 0.1, (n, 3))
     mad_args = (acc, gyro, 0.02, 0.041, np.array([1.0, 0.0, 0.0, 0.0]))
-    kernels.madgwick_batch(*mad_args)  # trigger compilation
     mad = best_of(kernels.madgwick_batch, *mad_args)
-    kind = "numba" if accel.NUMBA_ENABLED else "python"
-    print(f"madgwick_batch ({n} samples, {kind}): {mad * 1e3:9.1f} ms")
+    print(f"madgwick_batch ({n} samples): {mad * 1e3:9.1f} ms")
 
     obs, _ = factors.simulate_dataset(n_subjects=60, obs_per_subject=10,
                                       seed=100)

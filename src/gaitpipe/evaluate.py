@@ -1,6 +1,8 @@
 """Event matching, performance metrics, temporal errors, and aggregation."""
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,24 +79,30 @@ def match_events(detected, reference, window_s: float = DEFAULT_WINDOW_S,
 
     References are processed in time order; the closest unconsumed
     detection within +/- window_s/2 becomes the true positive, with ties
-    going to the earlier detection.
+    going to the earlier detection. Times must be finite and sorted.
     """
     detected = list(detected)
     reference = list(reference)
+    if not all(map(math.isfinite, detected + reference)):
+        raise ContractError("event times must be finite")
     if detected != sorted(detected) or reference != sorted(reference):
         raise ContractError("event lists must be sorted")
     if window_s <= 0:
         raise ContractError("window must be positive")
     half = window_s / 2.0
-    used = [False] * len(detected)
+    n = len(detected)
+    used = [False] * n
     report = MatchReport(kind=kind)
     for r in reference:
+        # d - r is monotone in d, so the detections with |d - r| <= half
+        # are the contiguous run starting at the first with d - r >= -half
         best = None
-        for i, d in enumerate(detected):
-            if used[i] or abs(d - r) > half:
-                continue
-            if best is None or abs(d - r) < abs(detected[best] - r):
+        i = bisect_left(detected, -half, key=lambda d: d - r)
+        while i < n and detected[i] - r <= half:
+            if not used[i] and (best is None
+                                or abs(detected[i] - r) < abs(detected[best] - r)):
                 best = i
+            i += 1
         if best is None:
             report.false_negatives.append(r)
         else:

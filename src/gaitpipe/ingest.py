@@ -6,6 +6,7 @@ in {IC, FC} and side in {L, R, U}.
 """
 from __future__ import annotations
 
+import array
 import csv
 import io
 import math
@@ -77,13 +78,15 @@ def finite_float(text: str, lineno: int) -> float:
 
 def load_recording(source, device_id: str = "", session_id: str = "") -> ImuRecording:
     """Parse a recording CSV into an ImuRecording, preserving sample order."""
-    rows = []
+    # one flat buffer of doubles instead of a list per row: a 1 h
+    # recording's rows as Python lists take several times its array size
+    values = array.array("d")
     for lineno, row in csv_rows(source, RECORDING_HEADER):
         try:
-            rows.append(list(map(float, row)))
+            values.extend(map(float, row))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-    data = np.asarray(rows, dtype=float).reshape(-1, 7)
+    data = np.frombuffer(values, dtype=float).reshape(-1, 7)
     rec = ImuRecording(t=data[:, 0], accel=data[:, 1:4], gyro=data[:, 4:7],
                        device_id=device_id, session_id=session_id)
     rec.validate()

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -15,6 +16,7 @@ from .core import (
     InsufficientDataError,
     NoCadenceError,
     AmbiguousDirectionError,
+    ParseError,
     Segment,
 )
 from .segmentation import SegmentationConfig
@@ -150,5 +152,17 @@ def segments_to_json(segments: list[Segment]) -> list[dict]:
 
 
 def events_from_json(doc: list[dict]) -> list[GaitEvent]:
-    return [GaitEvent(time_s=float(d["time_s"]), kind=d["kind"],
-                      side=d.get("side", "U")) for d in doc]
+    """GaitEvents from a detections JSON list; a ``time_s`` that is
+    missing or not a finite number raises ParseError."""
+    events = []
+    for i, d in enumerate(doc):
+        raw = d.get("time_s")
+        try:
+            time_s = float(raw)
+        except (TypeError, ValueError):
+            time_s = math.nan
+        if not math.isfinite(time_s):
+            raise ParseError(f"event {i}: time_s must be a finite number, got {raw!r}")
+        events.append(GaitEvent(time_s=time_s, kind=d["kind"],
+                                side=d.get("side", "U")))
+    return events

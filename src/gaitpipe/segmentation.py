@@ -1,9 +1,11 @@
 """Task recognition: rests, boundaries, turns, and verified gait bouts."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.signal import butter, filtfilt, find_peaks
 
 from .core import (
@@ -48,6 +50,9 @@ class SegmentationConfig:
             raise ConfigurationError("gyro_thresh outside valid range [0.2, 0.6] rad/s")
         if not 0.05 <= self.std_thresh <= 0.4:
             raise ConfigurationError("std_thresh outside valid range [0.05, 0.4] m/s^2")
+        if not 0 < self.stride_lag_min_s < self.stride_lag_max_s:
+            raise ConfigurationError(
+                "stride lag band needs 0 < stride_lag_min_s < stride_lag_max_s")
 
 
 @dataclass
@@ -61,9 +66,14 @@ class TurnInterval:
         return abs(self.angle_deg) >= (cfg or SegmentationConfig()).sharp_turn_deg
 
 
+def window_length(fs: float, cfg: SegmentationConfig) -> int:
+    """Samples per classification window."""
+    return max(2, int(round(cfg.window_s * fs)))
+
+
 def window_bounds(n_samples: int, fs: float, cfg: SegmentationConfig):
     """Non-overlapping window index ranges; a tail < window_s/2 is dropped."""
-    wlen = max(2, int(round(cfg.window_s * fs)))
+    wlen = window_length(fs, cfg)
     bounds = []
     start = 0
     while start + wlen <= n_samples:
@@ -83,34 +93,44 @@ def classify_windows(rec: GravityAlignedRecording, cfg: SegmentationConfig | Non
     """
     cfg = cfg or SegmentationConfig()
     cfg.validate()
-    bounds = window_bounds(len(rec.t), rec.sample_rate, cfg)
-    moving = np.empty(len(bounds), dtype=bool)
+    fs = rec.sample_rate
+    n = len(rec.t)
+    bounds = window_bounds(n, fs, cfg)
     amag = np.linalg.norm(rec.accel, axis=1)
     gmag = np.linalg.norm(rec.gyro, axis=1)
+    # the full-length windows in one reshaped reduction, then the short
+    # tail window, if any, as a single window of its own length
+    wlen = window_length(fs, cfg)
+    n_full = n // wlen
+    parts = [(0, n_full * wlen, wlen)] + [(a, b, b - a) for a, b in bounds[n_full:]]
+    stats = [_window_stats(amag[a:b], gmag[a:b], rec.accel[a:b], w)
+             for a, b, w in parts]
+    mean_a, mean_g, comb_std = (np.concatenate(c) for c in zip(*stats))
     lo = cfg.accel_ref * (1.0 - cfg.accel_tol)
     hi = cfg.accel_ref * (1.0 + cfg.accel_tol)
-    for i, (a, b) in enumerate(bounds):
-        mean_a = float(np.mean(amag[a:b]))
-        mean_g = float(np.mean(gmag[a:b]))
-        comb_std = float(np.linalg.norm(np.std(rec.accel[a:b], axis=0, ddof=0)))
-        nonmoving = (lo <= mean_a <= hi) and mean_g < cfg.gyro_thresh \
-            and comb_std < cfg.std_thresh
-        moving[i] = not nonmoving
-    return moving, bounds
+    nonmoving = ((lo <= mean_a) & (mean_a <= hi) & (mean_g < cfg.gyro_thresh)
+                 & (comb_std < cfg.std_thresh))
+    return ~nonmoving, bounds
+
+
+def _window_stats(amag: np.ndarray, gmag: np.ndarray, accel: np.ndarray, wlen: int):
+    """Mean |accel|, mean |gyro| and combined accel SD of consecutive
+    windows of wlen samples (len(amag) is a multiple of wlen)."""
+    k = len(amag) // wlen
+    acc_std = accel.reshape(k, wlen, 3).std(axis=1)
+    return (amag.reshape(k, wlen).mean(axis=1), gmag.reshape(k, wlen).mean(axis=1),
+            np.linalg.norm(acc_std, axis=1))
 
 
 def _runs(flags: np.ndarray):
     """(start_idx, end_idx_exclusive, value) runs of a boolean array."""
-    out = []
-    i = 0
-    n = len(flags)
-    while i < n:
-        j = i
-        while j < n and flags[j] == flags[i]:
-            j += 1
-        out.append((i, j, bool(flags[i])))
-        i = j
-    return out
+    flags = np.asarray(flags)
+    if len(flags) == 0:
+        return []
+    edges = (np.flatnonzero(flags[1:] != flags[:-1]) + 1).tolist()
+    starts = [0] + edges
+    ends = edges + [len(flags)]
+    return [(a, b, bool(flags[a])) for a, b in zip(starts, ends)]
 
 
 def segment(rec: GravityAlignedRecording, cfg: SegmentationConfig | None = None) -> list[Segment]:
@@ -203,15 +223,23 @@ def detect_turns(rec: GravityAlignedRecording, cfg: SegmentationConfig | None = 
     return turns
 
 
-def unbiased_autocorr(x: np.ndarray) -> np.ndarray:
-    """Mean-removed, unbiased, lag-0-normalized autocorrelation."""
+def unbiased_autocorr(x: np.ndarray, max_lag: int | None = None) -> np.ndarray:
+    """Mean-removed, unbiased, lag-0-normalized autocorrelation at lags
+    0..max_lag (all n lags when max_lag is None or at least n).
+
+    Computed by FFT (Wiener-Khinchin) with zero padding to at least
+    2n - 1, so the circular correlation equals the linear one.
+    """
     x = np.asarray(x, dtype=float)
     x = x - x.mean()
     n = len(x)
-    r = np.correlate(x, x, mode="full")[n - 1:]
-    r = r / (n - np.arange(n))
+    m = n if max_lag is None else min(max_lag + 1, n)
+    nfft = next_fast_len(2 * n - 1, real=True)
+    spec = rfft(x, nfft)
+    r = irfft(spec.real ** 2 + spec.imag ** 2, nfft)[:m]
+    r = r / (n - np.arange(m))
     if r[0] <= 1e-12:
-        return np.zeros(n)
+        return np.zeros(m)
     return r / r[0]
 
 
@@ -224,7 +252,8 @@ def dominant_stride_peak(x: np.ndarray, fs: float, cfg: SegmentationConfig):
     drops to it; weaker half-lag peaks are step-frequency artifacts and
     are ignored.
     """
-    r = unbiased_autocorr(x)
+    # one lag past the band edge, so find_peaks sees the edge's neighbour
+    r = unbiased_autocorr(x, math.ceil(cfg.stride_lag_max_s * fs) + 1)
     lags = np.arange(len(r)) / fs
     peaks, _ = find_peaks(r)
     peaks = peaks[(lags[peaks] >= cfg.stride_lag_min_s)
@@ -235,7 +264,8 @@ def dominant_stride_peak(x: np.ndarray, fs: float, cfg: SegmentationConfig):
     while True:
         half = best / 2.0
         tol = max(2.0, 0.1 * half)
-        near = peaks[np.abs(peaks - half) <= tol]
+        # below 5 samples the tolerance reaches best itself; never step to it
+        near = peaks[(peaks < best) & (np.abs(peaks - half) <= tol)]
         if len(near) == 0:
             break
         cand = near[np.argmax(r[near])]

@@ -89,8 +89,10 @@ def _smoothed_derivative(axis_signal: np.ndarray, scale: float, fs: float) -> np
 
 
 def _autocorr_at_lag(x: np.ndarray, lag_samples: int) -> float:
-    r = unbiased_autocorr(x)
-    if lag_samples <= 0 or lag_samples >= len(r):
+    if lag_samples <= 0:
+        return 0.0
+    r = unbiased_autocorr(x, lag_samples)
+    if lag_samples >= len(r):
         return 0.0
     return float(r[lag_samples])
 

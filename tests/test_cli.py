@@ -86,6 +86,18 @@ class TestWorkflow:
                     "--out-segments", tmp_path / "g.json"]) == 1
         assert "not_a_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [{"time_s": float("nan")}, {"time_s": float("inf")},
+                                     {"time_s": None}, {}])
+    def test_non_finite_detection_time_exit_1(self, tmp_path, capsys, bad):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("t,kind,side\n1.0,IC,L\n")
+        events = tmp_path / "events.json"
+        events.write_text(json.dumps([{"time_s": 1.0, "kind": "IC", "side": "L"},
+                                      dict(bad, kind="IC", side="R")]))
+        assert run(["evaluate", events, truth, "--out", tmp_path / "m.json"]) == 1
+        assert "event 1: time_s must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_recording_exit_1(self, tmp_path, capsys):
         assert run(["process", tmp_path / "nope.csv"]) == 1
         assert "error" in capsys.readouterr().err

@@ -58,6 +58,13 @@ class TestMatchEvents:
         with pytest.raises(ContractError):
             evaluate.match_events([1.0], [2.0, 1.0])
 
+    def test_non_finite_times_rejected(self):
+        for det, ref in (([1.0, 2.0], [1.0, np.nan, np.inf]),
+                         ([1.0, np.nan], [1.0]),
+                         ([-np.inf, 1.0], [1.0])):
+            with pytest.raises(ContractError, match="finite"):
+                evaluate.match_events(det, ref)
+
     def test_nonpositive_window_rejected(self):
         with pytest.raises(ContractError):
             evaluate.match_events([1.0], [1.0], window_s=0.0)

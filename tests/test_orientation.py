@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from gaitpipe import orientation, synth
+from gaitpipe import kernels, orientation, synth
 from gaitpipe.core import ContractError, ImuRecording, random_unit_quat
 from gaitpipe.orientation import gravity_direction
 
@@ -13,6 +15,53 @@ def static_rec(gravity_sensor, duration_s=10.0, fs=50.0):
     t = np.arange(n) / fs
     accel = np.tile(np.asarray(gravity_sensor, dtype=float), (n, 1))
     return ImuRecording(t=t, accel=accel, gyro=np.zeros((n, 3)), sample_rate=fs)
+
+
+def reference_madgwick(accel, gyro, dt, beta, q0):
+    """The Madgwick recursion on numpy scalars, sample by sample (the
+    reference for kernels.madgwick_batch, which must match it exactly)."""
+    n = accel.shape[0]
+    out = np.empty((n, 4))
+    w, x, y, z = q0[0], q0[1], q0[2], q0[3]
+    for i in range(n):
+        gx, gy, gz = gyro[i, 0], gyro[i, 1], gyro[i, 2]
+        qdw = 0.5 * (-x * gx - y * gy - z * gz)
+        qdx = 0.5 * (w * gx + y * gz - z * gy)
+        qdy = 0.5 * (w * gy - x * gz + z * gx)
+        qdz = 0.5 * (w * gz + x * gy - y * gx)
+        ax, ay, az = accel[i, 0], accel[i, 1], accel[i, 2]
+        anorm = math.sqrt(ax * ax + ay * ay + az * az)
+        if anorm > 1e-12:
+            ax /= anorm
+            ay /= anorm
+            az /= anorm
+            f1 = 2.0 * (x * z - w * y) - ax
+            f2 = 2.0 * (w * x + y * z) - ay
+            f3 = 2.0 * (0.5 - x * x - y * y) - az
+            sw = -2.0 * y * f1 + 2.0 * x * f2
+            sx = 2.0 * z * f1 + 2.0 * w * f2 - 4.0 * x * f3
+            sy = -2.0 * w * f1 + 2.0 * z * f2 - 4.0 * y * f3
+            sz = 2.0 * x * f1 + 2.0 * y * f2
+            snorm = math.sqrt(sw * sw + sx * sx + sy * sy + sz * sz)
+            if snorm > 1e-12:
+                qdw -= beta * sw / snorm
+                qdx -= beta * sx / snorm
+                qdy -= beta * sy / snorm
+                qdz -= beta * sz / snorm
+        w += qdw * dt
+        x += qdx * dt
+        y += qdy * dt
+        z += qdz * dt
+        qn = math.sqrt(w * w + x * x + y * y + z * z)
+        w /= qn
+        x /= qn
+        y /= qn
+        z /= qn
+        out[i, 0] = w
+        out[i, 1] = x
+        out[i, 2] = y
+        out[i, 3] = z
+    return out
 
 
 def angle_deg(u, v):
@@ -61,6 +110,19 @@ class TestEstimateOrientation:
         x0 = quat_rotate(quats[0], [1.0, 0.0, 0.0])
         x1 = quat_rotate(quats[-1], [1.0, 0.0, 0.0])
         assert angle_deg(x0, x1) == pytest.approx(90.0, abs=2.0)
+
+
+class TestMadgwickBatch:
+    def test_matches_scalar_reference_exactly(self):
+        rng = np.random.default_rng(4)
+        n = 3000
+        accel = rng.normal(0, 2.0, (n, 3)) + [1.0, -3.0, G]
+        accel[rng.choice(n, 40, replace=False)] = 0.0   # anorm below 1e-12
+        gyro = rng.normal(0, 0.8, (n, 3))
+        q0 = orientation.initial_tilt(accel[1])
+        for dt, beta in ((0.02, 0.041), (0.01, 0.5)):
+            got = kernels.madgwick_batch(accel, gyro, dt, beta, q0)
+            assert np.array_equal(got, reference_madgwick(accel, gyro, dt, beta, q0))
 
 
 class TestAlignWithGravity:

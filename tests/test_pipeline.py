@@ -26,6 +26,9 @@ class TestPipelineConfig:
         {"madgwick_beta": -1.0},
         {"match_window_s": -1.0},
         {"wavelet_scale": -1.0},
+        {"stride_lag_min_s": 3.0},
+        {"stride_lag_max_s": 0.0},
+        {"stride_lag_min_s": 0.0},
     ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
     def test_invalid_values_rejected(self, bad):
         """JSON and a config built in code go through the same checks."""

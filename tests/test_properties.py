@@ -1,4 +1,5 @@
-"""Property tests of the sharp-turn splitter and the config round trip."""
+"""Property tests of the sharp-turn splitter, the config round trip, the
+event matcher and the run splitter."""
 import json
 from dataclasses import fields
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaitpipe import segmentation, stepdetect
+from gaitpipe import evaluate, segmentation, stepdetect
 from gaitpipe.core import GravityAlignedRecording, Segment, SegmentKind
 from gaitpipe.pipeline import PipelineConfig
 from gaitpipe.segmentation import SegmentationConfig, TurnInterval
@@ -103,10 +104,80 @@ def configs():
         "wavelet_sign": st.sampled_from([None, -1, 1]),
     }
     return st.builds(PipelineConfig, **{f.name: special.get(f.name, positive)
-                                        for f in fields(PipelineConfig)})
+                                        for f in fields(PipelineConfig)}).filter(
+        lambda cfg: cfg.stride_lag_min_s < cfg.stride_lag_max_s)
 
 
 @given(configs())
 def test_config_json_roundtrip(cfg):
     doc = json.loads(json.dumps(cfg.to_json()))
     assert PipelineConfig.from_json(doc) == cfg
+
+
+def oracle_pairs(detected, reference, window_s):
+    """Brute-force matcher: each reference in time order takes the
+    closest remaining detection within +/- window_s/2, the earlier one on
+    a tie. Returns the (detected, reference) pairs and the leftovers."""
+    half = window_s / 2.0
+    remaining = list(detected)
+    pairs, missed = [], []
+    for r in reference:
+        cands = [d for d in remaining if abs(d - r) <= half]
+        if not cands:
+            missed.append(r)
+            continue
+        best = min(cands, key=lambda d: (abs(d - r), d))
+        remaining.remove(best)
+        pairs.append((best, r))
+    return pairs, remaining, missed
+
+
+@st.composite
+def grid_matches(draw):
+    """(detected, reference, window_s) on a grid of 2**-10 s (about 1 ms).
+
+    The grid is exact in binary, so differences are exact. Detections are
+    drawn around the references, within a step of the half window, plus
+    a few anywhere, so equal distances and distances of exactly half a
+    window occur often."""
+    half = draw(st.integers(1, 20))
+    reference = sorted(draw(st.lists(st.integers(0, 60), max_size=12)))
+    near = [r + draw(st.integers(-half - 1, half + 1))
+            for r in reference if draw(st.booleans())]
+    detected = sorted(near + draw(st.lists(st.integers(0, 60), max_size=6)))
+    return ([d / 1024 for d in detected], [r / 1024 for r in reference],
+            half / 512)
+
+
+@settings(max_examples=300)
+@given(grid_matches())
+def test_matcher_pairs_equal_brute_force(case):
+    detected, reference, window_s = case
+    rep = evaluate.match_events(detected, reference, window_s=window_s)
+    pairs, false_pos, false_neg = oracle_pairs(detected, reference, window_s)
+    assert rep.pairs == pairs
+    assert rep.false_positives == false_pos
+    assert rep.false_negatives == false_neg
+
+
+times = st.lists(st.floats(-1e4, 1e4), max_size=40).map(sorted)
+
+
+@given(times, times, st.floats(1e-3, 1e3))
+def test_matcher_conserves_events(detected, reference, window_s):
+    rep = evaluate.match_events(detected, reference, window_s=window_s)
+    assert rep.tp + rep.fn == len(reference)
+    assert rep.tp + rep.fp == len(detected)
+
+
+@given(st.lists(st.booleans(), max_size=60))
+def test_runs_tile_their_input(flags):
+    flags = np.array(flags, dtype=bool)
+    runs = segmentation._runs(flags)
+    pos = 0
+    for a, b, value in runs:
+        assert a == pos < b and (flags[a:b] == value).all()
+        pos = b
+    assert pos == len(flags)
+    for (_, _, v1), (_, _, v2) in zip(runs, runs[1:]):
+        assert v1 != v2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaitpipe import segmentation, synth
+from gaitpipe import orientation, segmentation, synth
 from gaitpipe.core import ConfigurationError, GravityAlignedRecording, SegmentKind
 from gaitpipe.segmentation import SegmentationConfig
 from gaitpipe.synth import Phase
@@ -17,6 +17,36 @@ def aligned(accel, gyro=None, fs=50.0):
         t=np.arange(n) / fs, accel=np.asarray(accel, dtype=float),
         gyro=np.asarray(gyro, dtype=float), sample_rate=fs,
         orientation=np.tile([1.0, 0, 0, 0], (n, 1)))
+
+
+def direct_autocorr(x):
+    """The definition of unbiased_autocorr, by O(n^2) np.correlate."""
+    x = np.asarray(x, dtype=float)
+    x = x - x.mean()
+    n = len(x)
+    r = np.correlate(x, x, mode="full")[n - 1:]
+    r = r / (n - np.arange(n))
+    if r[0] <= 1e-12:
+        return np.zeros(n)
+    return r / r[0]
+
+
+def per_window_flags(rec, cfg):
+    """Moving flags computed one window at a time (the reference for the
+    reshaped reduction in classify_windows)."""
+    bounds = segmentation.window_bounds(len(rec.t), rec.sample_rate, cfg)
+    amag = np.linalg.norm(rec.accel, axis=1)
+    gmag = np.linalg.norm(rec.gyro, axis=1)
+    lo = cfg.accel_ref * (1.0 - cfg.accel_tol)
+    hi = cfg.accel_ref * (1.0 + cfg.accel_tol)
+    moving = []
+    for a, b in bounds:
+        mean_a = float(np.mean(amag[a:b]))
+        mean_g = float(np.mean(gmag[a:b]))
+        comb_std = float(np.linalg.norm(np.std(rec.accel[a:b], axis=0, ddof=0)))
+        moving.append(not ((lo <= mean_a <= hi) and mean_g < cfg.gyro_thresh
+                           and comb_std < cfg.std_thresh))
+    return np.array(moving, dtype=bool)
 
 
 def static_aligned(duration_s, fs=50.0):
@@ -74,6 +104,71 @@ class TestClassifyWindows:
         gyro[:, 0] = 0.7  # above the 0.6 rad/s threshold
         moving, _ = segmentation.classify_windows(aligned(accel, gyro))
         assert moving.all()
+
+    def test_matches_per_window_loop(self):
+        """Scripted walks with rests and turns, cut to lengths that leave
+        a tail window (and to one shorter than a window), give the same
+        flags as the window-by-window reference."""
+        cfg = SegmentationConfig()
+        script = [Phase("rest", 4.0), Phase("walk", 8.0), Phase("turn", 2.0, 120.0),
+                  Phase("walk", 6.0), Phase("rest", 3.0), Phase("walk", 5.0)]
+        rec, _, _, _ = synth.generate(synth.SynthConfig(
+            duration_s=28.0, seed=11, script=script))
+        ga = orientation.align_recording(rec)
+        wlen = segmentation.window_length(ga.sample_rate, cfg)
+        for n in (len(ga.t), len(ga.t) - 7, len(ga.t) - wlen // 2, wlen - 1, 16):
+            cut = aligned(ga.accel[:n], ga.gyro[:n], fs=ga.sample_rate)
+            moving, bounds = segmentation.classify_windows(cut, cfg)
+            assert len(moving) == len(bounds)
+            np.testing.assert_array_equal(moving, per_window_flags(cut, cfg))
+        assert bounds[-1][1] - bounds[-1][0] < wlen  # the last cut has a tail
+        # every window's verdict is exercised: both flags occur
+        moving, _ = segmentation.classify_windows(ga, cfg)
+        assert moving.any() and not moving.all()
+
+
+class TestUnbiasedAutocorr:
+    def test_matches_direct_definition(self):
+        rng = np.random.default_rng(5)
+        lengths = [1, 2, 3] + rng.integers(1, 601, 40).tolist()
+        for n in lengths:
+            x = rng.normal(0.0, 1.0, n) * rng.choice([1e-3, 1.0, 1e3]) + G
+            want = direct_autocorr(x)
+            for max_lag in (0, 1, n - 1, n, n + 5, None):
+                got = segmentation.unbiased_autocorr(x, max_lag)
+                m = n if max_lag is None else min(max_lag + 1, n)
+                assert got.shape == (m,)
+                np.testing.assert_allclose(got, want[:m], rtol=0, atol=1e-12)
+
+    def test_constant_input_gives_zeros(self):
+        for n in (1, 7, 500):
+            for max_lag in (None, 0, 3):
+                r = segmentation.unbiased_autocorr(np.full(n, G), max_lag)
+                assert not r.any()
+
+    def test_stride_peak_band_edge_on_a_peak(self):
+        """dominant_stride_peak reads a truncated autocorrelation. A band
+        that ends exactly on a peak of the full autocorrelation, and holds
+        no other, still finds that peak, down to a lag of one sample."""
+        fs = 50.0
+        rng = np.random.default_rng(8)
+        checked = 0
+        for _ in range(20):
+            stride = rng.uniform(0.5, 2.4)
+            t = np.arange(int(rng.uniform(3.0, 20.0) * fs)) / fs
+            kmod = np.floor(t / (stride / 2)).astype(int) % 2
+            x = (2.0 + 0.6 * (-1.0) ** kmod) * np.sin(4 * np.pi * t / stride) \
+                + rng.normal(0.0, rng.uniform(0.1, 2.0), len(t))
+            r = direct_autocorr(x)
+            peaks, _ = segmentation.find_peaks(r)
+            for p in peaks[peaks < 150]:
+                cfg = SegmentationConfig(stride_lag_min_s=(p - 0.5) / fs,
+                                         stride_lag_max_s=p / fs)
+                lag, coef = segmentation.dominant_stride_peak(x, fs, cfg)
+                assert lag == p / fs
+                assert coef == pytest.approx(r[p], abs=1e-12)
+                checked += 1
+        assert checked > 50
 
 
 class TestSegment:
