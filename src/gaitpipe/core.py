@@ -175,10 +175,6 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     ])
 
 
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return quat_to_matrix(q) @ np.asarray(v, dtype=float)
-
-
 def quat_from_two_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimal rotation taking direction a onto direction b."""
     a = np.asarray(a, dtype=float) / np.linalg.norm(a)

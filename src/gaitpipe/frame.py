@@ -8,7 +8,6 @@ import numpy as np
 from .core import AmbiguousDirectionError, InsufficientDataError
 from .segmentation import SegmentationConfig, dominant_stride_peak
 
-MIN_BOUT_S = 3.0
 EIGENVALUE_RATIO_MIN = 1.2
 
 
@@ -27,15 +26,19 @@ class AnatomicalFrame:
         return np.vstack([self.vertical, self.antero_posterior, self.medio_lateral])
 
 
-def estimate_frame(accel_aligned: np.ndarray, fs: float) -> AnatomicalFrame:
+def estimate_frame(accel_aligned: np.ndarray, fs: float,
+                   cfg: SegmentationConfig | None = None) -> AnatomicalFrame:
     """PCA of the horizontal acceleration defines the walking direction.
 
     The vertical axis is inherited from gravity alignment, the AP axis is
     the first principal component of the mean-removed horizontal samples
-    (sign unresolved), and ML completes the right-handed triad.
+    (sign unresolved), and ML completes the right-handed triad. It needs
+    at least ``min_bout_s`` of samples.
     """
-    if len(accel_aligned) < MIN_BOUT_S * fs:
-        raise InsufficientDataError("frame estimation needs at least 3 s of samples")
+    cfg = cfg or SegmentationConfig()
+    if len(accel_aligned) < cfg.min_bout_s * fs:
+        raise InsufficientDataError(
+            f"frame estimation needs at least {cfg.min_bout_s:g} s of samples")
     horiz = accel_aligned[:, 1:3]
     centered = horiz - horiz.mean(axis=0)
     cov = centered.T @ centered / max(len(centered) - 1, 1)
@@ -55,11 +58,10 @@ def to_anatomical(samples: np.ndarray, frame: AnatomicalFrame) -> np.ndarray:
     return np.asarray(samples, dtype=float) @ frame.rotation.T
 
 
-def verify_frame(accel_anatomical: np.ndarray, fs: float,
+def verify_frame(ap_autocorr: np.ndarray, fs: float,
                  cfg: SegmentationConfig | None = None) -> bool:
-    """True iff the AP channel shows dominant stride-band periodicity."""
+    """True iff the AP channel, given as its stride_autocorr array, shows
+    dominant stride-band periodicity."""
     cfg = cfg or SegmentationConfig()
-    if len(accel_anatomical) < MIN_BOUT_S * fs:
-        return False
-    peak = dominant_stride_peak(accel_anatomical[:, 1], fs, cfg)
+    peak = dominant_stride_peak(ap_autocorr, fs, cfg)
     return peak is not None and peak[1] >= cfg.autocorr_peak_min

@@ -10,7 +10,6 @@ from .core import (
     ImuRecording,
     InsufficientDataError,
     quat_from_two_vectors,
-    quat_to_matrix,
 )
 
 DEFAULT_BETA = 0.041
@@ -37,16 +36,6 @@ def estimate_orientation(rec: ImuRecording, beta: float = DEFAULT_BETA) -> np.nd
     q0 = initial_tilt(rec.accel[0])
     dt = 1.0 / rec.sample_rate
     return kernels.madgwick_batch(rec.accel, rec.gyro, dt, beta, q0)
-
-
-def gravity_direction(quats: np.ndarray) -> np.ndarray:
-    """Estimated gravity direction in the sensor frame, one row per sample."""
-    w, x, y, z = quats[:, 0], quats[:, 1], quats[:, 2], quats[:, 3]
-    return np.column_stack([
-        2.0 * (x * z - w * y),
-        2.0 * (w * x + y * z),
-        1.0 - 2.0 * (x * x + y * y),
-    ])
 
 
 def align_with_gravity(rec: ImuRecording, quats: np.ndarray) -> GravityAlignedRecording:
@@ -84,10 +73,3 @@ def align_with_gravity(rec: ImuRecording, quats: np.ndarray) -> GravityAlignedRe
 def align_recording(rec: ImuRecording, beta: float = DEFAULT_BETA) -> GravityAlignedRecording:
     return align_with_gravity(rec, estimate_orientation(rec, beta=beta))
 
-
-def rotate_recording(rec: ImuRecording, quat: np.ndarray) -> ImuRecording:
-    """Apply a fixed sensor rotation to a raw recording (test utility)."""
-    rot = quat_to_matrix(quat)
-    return ImuRecording(t=rec.t.copy(), accel=rec.accel @ rot.T, gyro=rec.gyro @ rot.T,
-                        sample_rate=rec.sample_rate,
-                        device_id=rec.device_id, session_id=rec.session_id)

@@ -14,7 +14,6 @@ from .core import (
     GaitEvent,
     ImuRecording,
     InsufficientDataError,
-    NoCadenceError,
     AmbiguousDirectionError,
     ParseError,
     Segment,
@@ -103,24 +102,25 @@ def process_recording(rec: ImuRecording,
     bouts = segmentation.eligible_bouts(aligned, segments, config)
 
     fs = aligned.sample_rate
-    t0 = aligned.t[0]
     results = []
     all_events: list[GaitEvent] = []
     for bout in bouts:
-        i0 = int(round((bout.start_s - t0) * fs))
-        i1 = int(round((bout.end_s - t0) * fs))
-        accel = aligned.accel[i0:i1]
-        gyro = aligned.gyro[i0:i1]
+        accel = aligned.accel[bout.samples]
+        gyro = aligned.gyro[bout.samples]
         try:
-            anat_frame = frame_mod.estimate_frame(accel, fs)
+            anat_frame = frame_mod.estimate_frame(accel, fs, config)
             accel_an = frame_mod.to_anatomical(accel, anat_frame)
             gyro_an = frame_mod.to_anatomical(gyro, anat_frame)
-            if not frame_mod.verify_frame(accel_an, fs, config):
+            ap_autocorr = segmentation.stride_autocorr(accel_an[:, 1], fs, config)
+            if not frame_mod.verify_frame(ap_autocorr, fs, config):
                 results.append(BoutResult(bout.start_s, bout.end_s, [],
                                           "frame verification failed"))
                 continue
-            stride = stepdetect.estimate_stride_duration(accel_an[:, 0], fs, config)
-            params = stepdetect.estimate_wavelet_params(accel_an, fs, stride)
+            # the frame keeps the aligned vertical axis, so accel_an[:, 0]
+            # is the signal of the bout's vertical stride analysis
+            stride = stepdetect.estimate_stride_duration(bout.peak)
+            params = stepdetect.estimate_wavelet_params(
+                accel_an, fs, stride, bout.vertical_autocorr, ap_autocorr)
             if config.wavelet_scale is not None:
                 params.scale = config.wavelet_scale
             if config.wavelet_axis is not None:
@@ -132,8 +132,7 @@ def process_recording(rec: ImuRecording,
             events = stepdetect.assign_laterality(events, gyro_an, fs,
                                                   t0=bout.start_s)
             events = stepdetect.quality_check(events, stride)
-        except (InsufficientDataError, NoCadenceError,
-                AmbiguousDirectionError) as exc:
+        except (InsufficientDataError, AmbiguousDirectionError) as exc:
             results.append(BoutResult(bout.start_s, bout.end_s, [], str(exc)))
             continue
         results.append(BoutResult(bout.start_s, bout.end_s, events))

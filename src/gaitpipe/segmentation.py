@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -243,17 +243,21 @@ def unbiased_autocorr(x: np.ndarray, max_lag: int | None = None) -> np.ndarray:
     return r / r[0]
 
 
-def dominant_stride_peak(x: np.ndarray, fs: float, cfg: SegmentationConfig):
-    """(lag_s, coefficient) of the dominant autocorrelation peak in the
-    stride band, or None if no local maximum exists there.
+def stride_autocorr(x: np.ndarray, fs: float, cfg: SegmentationConfig) -> np.ndarray:
+    """unbiased_autocorr of x up to one lag past the stride band's upper
+    edge, so find_peaks sees the edge's neighbour."""
+    return unbiased_autocorr(x, math.ceil(cfg.stride_lag_max_s * fs) + 1)
+
+
+def dominant_stride_peak(r: np.ndarray, fs: float, cfg: SegmentationConfig):
+    """(lag_s, coefficient) of the dominant peak of a stride_autocorr
+    array in the stride band, or None if no local maximum exists there.
 
     A peak near half the dominant lag that is almost as strong marks the
     true period (the dominant lag being its double), so the estimate
     drops to it; weaker half-lag peaks are step-frequency artifacts and
     are ignored.
     """
-    # one lag past the band edge, so find_peaks sees the edge's neighbour
-    r = unbiased_autocorr(x, math.ceil(cfg.stride_lag_max_s * fs) + 1)
     lags = np.arange(len(r)) / fs
     peaks, _ = find_peaks(r)
     peaks = peaks[(lags[peaks] >= cfg.stride_lag_min_s)
@@ -275,12 +279,14 @@ def dominant_stride_peak(x: np.ndarray, fs: float, cfg: SegmentationConfig):
     return float(lags[best]), float(r[best])
 
 
-def verify_gait(vertical_accel: np.ndarray, fs: float,
-                cfg: SegmentationConfig | None = None) -> bool:
-    """True iff vertical acceleration shows dominant stride periodicity."""
+def verify_gait(r: np.ndarray, fs: float,
+                cfg: SegmentationConfig | None = None) -> tuple[float, float] | None:
+    """The dominant stride peak of a stride_autocorr array of vertical
+    acceleration when it reaches ``autocorr_peak_min`` (the signal is
+    gait), else None."""
     cfg = cfg or SegmentationConfig()
-    peak = dominant_stride_peak(vertical_accel, fs, cfg)
-    return peak is not None and peak[1] >= cfg.autocorr_peak_min
+    peak = dominant_stride_peak(r, fs, cfg)
+    return peak if peak is not None and peak[1] >= cfg.autocorr_peak_min else None
 
 
 def refine_with_turns(segments: list[Segment], turns: list[TurnInterval],
@@ -313,8 +319,19 @@ def refine_with_turns(segments: list[Segment], turns: list[TurnInterval],
     return out
 
 
+@dataclass
+class Bout(Segment):
+    """A verified gait bout, its samples in the recording it came from,
+    and its one vertical stride analysis: the (lag_s, coefficient) peak
+    verify_gait found and the stride_autocorr array it was read from."""
+
+    samples: slice
+    peak: tuple[float, float]
+    vertical_autocorr: np.ndarray = field(repr=False, compare=False)
+
+
 def eligible_bouts(rec: GravityAlignedRecording, segments: list[Segment],
-                   cfg: SegmentationConfig | None = None) -> list[Segment]:
+                   cfg: SegmentationConfig | None = None) -> list[Bout]:
     """The gait bouts of already refined segments (see refine_with_turns)
     that last at least ``min_bout_s`` and pass gait verification."""
     cfg = cfg or SegmentationConfig()
@@ -326,6 +343,8 @@ def eligible_bouts(rec: GravityAlignedRecording, segments: list[Segment],
             continue
         i0 = int(round((seg.start_s - t0) * fs))
         i1 = int(round((seg.end_s - t0) * fs))
-        if verify_gait(rec.vertical_accel[i0:i1], fs, cfg):
-            out.append(seg)
+        r = stride_autocorr(rec.vertical_accel[i0:i1], fs, cfg)
+        peak = verify_gait(r, fs, cfg)
+        if peak is not None:
+            out.append(Bout(seg.start_s, seg.end_s, seg.kind, slice(i0, i1), peak, r))
     return out

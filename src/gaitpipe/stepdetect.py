@@ -16,7 +16,8 @@ from .core import (
     SIDE_RIGHT,
     SIDE_UNKNOWN,
 )
-from .segmentation import SegmentationConfig, dominant_stride_peak, unbiased_autocorr
+# importable from here because gaitbench wraps these bindings by name
+from .segmentation import dominant_stride_peak, unbiased_autocorr  # noqa: F401
 
 AXIS_VERTICAL = "vertical"
 AXIS_AP = "antero_posterior"
@@ -27,6 +28,8 @@ PROMINENCE_FRACTION = 0.1
 MIN_EVENT_SPACING_S = 0.25
 LATERALITY_LOWPASS_HZ = 2.0
 LATERALITY_MIN_RAD_S = 0.05
+OPPOSITE_SIDE = {SIDE_LEFT: SIDE_RIGHT, SIDE_RIGHT: SIDE_LEFT,
+                 SIDE_UNKNOWN: SIDE_UNKNOWN}
 
 
 @dataclass
@@ -46,13 +49,11 @@ class WaveletParams:
     sign: int               # -1: ICs are minima of s1; +1: maxima
 
 
-def estimate_stride_duration(vertical_accel: np.ndarray, fs: float,
-                             cfg: SegmentationConfig | None = None) -> StrideEstimate:
-    """Stride duration from the dominant autocorrelation peak in the
-    physiological lag band."""
-    cfg = cfg or SegmentationConfig()
-    peak = dominant_stride_peak(vertical_accel, fs, cfg)
-    if peak is None or peak[1] < cfg.autocorr_peak_min:
+def estimate_stride_duration(peak: tuple[float, float] | None) -> StrideEstimate:
+    """Stride duration from the (lag_s, coefficient) stride peak that
+    segmentation.verify_gait found in the vertical acceleration; None,
+    no verified peak, raises NoCadenceError."""
+    if peak is None:
         raise NoCadenceError("no dominant stride peak in the lag band")
     return StrideEstimate(stride_s=peak[0])
 
@@ -88,21 +89,17 @@ def _smoothed_derivative(axis_signal: np.ndarray, scale: float, fs: float) -> np
     return cwt_differentiate(_integrate_detrended(axis_signal, fs), scale)
 
 
-def _autocorr_at_lag(x: np.ndarray, lag_samples: int) -> float:
-    if lag_samples <= 0:
-        return 0.0
-    r = unbiased_autocorr(x, lag_samples)
-    if lag_samples >= len(r):
-        return 0.0
-    return float(r[lag_samples])
-
-
 def estimate_wavelet_params(accel_anatomical: np.ndarray, fs: float,
-                            stride: StrideEstimate) -> WaveletParams:
-    """Pick wavelet axis, scale, and sign from the bout's acceleration."""
+                            stride: StrideEstimate, vertical_autocorr: np.ndarray,
+                            ap_autocorr: np.ndarray) -> WaveletParams:
+    """Pick wavelet axis, scale, and sign from the bout's acceleration.
+
+    The axis is the one more correlated at the step lag, read from the
+    vertical and AP stride_autocorr arrays of the same samples.
+    """
     step_lag = int(round(stride.stride_s / 2.0 * fs))
-    r_vert = _autocorr_at_lag(accel_anatomical[:, 0], step_lag)
-    r_ap = _autocorr_at_lag(accel_anatomical[:, 1], step_lag)
+    r_vert, r_ap = (float(r[step_lag]) if 0 < step_lag < len(r) else 0.0
+                    for r in (vertical_autocorr, ap_autocorr))
     axis = AXIS_VERTICAL if r_vert >= r_ap else AXIS_AP
     scale = scale_for_step_frequency(stride.stride_s, fs)
     col = 0 if axis == AXIS_VERTICAL else 1
@@ -146,26 +143,16 @@ def detect_events(accel_anatomical: np.ndarray, fs: float,
     s2 = cwt_differentiate(s1, params.scale)
 
     dist = max(1, int(round(MIN_EVENT_SPACING_S * fs)))
-    ic_signal = -s1 if params.sign < 0 else s1
-    fc_signal = s2 if params.sign < 0 else -s2
-
+    ic_signal, fc_signal = (-s1, s2) if params.sign < 0 else (s1, -s2)
     events = []
-    # the height gate rejects near-zero bumps that borrow prominence from
-    # convolution edge transients
-    prom_ic = PROMINENCE_FRACTION * np.max(np.abs(s1))
-    if prom_ic > 0:
-        idx, _ = find_peaks(ic_signal, prominence=prom_ic, height=prom_ic,
-                            distance=dist)
-        for i in idx:
-            events.append(GaitEvent(time_s=t0 + i / fs, kind=IC,
-                                    strength=float(ic_signal[i])))
-    prom_fc = PROMINENCE_FRACTION * np.max(np.abs(s2))
-    if prom_fc > 0:
-        idx, _ = find_peaks(fc_signal, prominence=prom_fc, height=prom_fc,
-                            distance=dist)
-        for i in idx:
-            events.append(GaitEvent(time_s=t0 + i / fs, kind=FC,
-                                    strength=float(fc_signal[i])))
+    for kind, signal in ((IC, ic_signal), (FC, fc_signal)):
+        # the height gate rejects near-zero bumps that borrow prominence
+        # from convolution edge transients
+        prom = PROMINENCE_FRACTION * np.max(np.abs(signal))
+        if prom > 0:
+            idx, _ = find_peaks(signal, prominence=prom, height=prom, distance=dist)
+            events += [GaitEvent(time_s=t0 + i / fs, kind=kind,
+                                 strength=float(signal[i])) for i in idx]
     events.sort(key=lambda e: (e.time_s, e.kind))
     return events
 
@@ -194,12 +181,7 @@ def assign_laterality(events: list[GaitEvent], gyro_anatomical: np.ndarray,
                 side = SIDE_RIGHT
             last_ic_side = side
         else:
-            if last_ic_side == SIDE_LEFT:
-                side = SIDE_RIGHT
-            elif last_ic_side == SIDE_RIGHT:
-                side = SIDE_LEFT
-            else:
-                side = SIDE_UNKNOWN
+            side = OPPOSITE_SIDE[last_ic_side]
         out.append(GaitEvent(time_s=ev.time_s, kind=ev.kind, side=side,
                              strength=ev.strength))
     return out
@@ -239,14 +221,10 @@ def quality_check(events: list[GaitEvent], stride: StrideEstimate) -> list[GaitE
                 kept_ics.append(ev)
         ics = kept_ics
 
+    # the last IC at or before each FC
     ic_times = np.array([e.time_s for e in ics])
-    kept_fcs = []
-    for ev in fcs:
-        before = ic_times[ic_times <= ev.time_s]
-        if len(before) == 0:
-            continue
-        if ev.time_s - before[-1] <= fc_window:
-            kept_fcs.append(ev)
+    last_ic = np.searchsorted(ic_times, [e.time_s for e in fcs], side="right")
+    kept_fcs = [ev for ev, k in zip(fcs, last_ic)
+                if k and ev.time_s - ic_times[k - 1] <= fc_window]
 
-    out = sorted(ics + kept_fcs, key=lambda e: (e.time_s, e.kind))
-    return out
+    return sorted(ics + kept_fcs, key=lambda e: (e.time_s, e.kind))

@@ -15,6 +15,7 @@ from gaitpipe import (
     ingest,
     orientation,
     pipeline,
+    segmentation,
     stepdetect,
     synth,
 )
@@ -118,11 +119,16 @@ def test_acceptance_3_orientation_invariance(capsys):
     # amplitude scaling: exact event-index equality at the detector level
     ga = orientation.align_recording(rec)
     anat = frame.to_anatomical(ga.accel, frame.estimate_frame(ga.accel, fs))
-    stride = stepdetect.estimate_stride_duration(anat[:, 0], fs)
+    seg_cfg = segmentation.SegmentationConfig()
+    stride = stepdetect.estimate_stride_duration(segmentation.verify_gait(
+        segmentation.stride_autocorr(anat[:, 0], fs, seg_cfg), fs, seg_cfg))
     amp_ok = True
     ref_idx = None
     for k in (1.0, 0.5, 2.0, 10.0):
-        params = stepdetect.estimate_wavelet_params(anat * k, fs, stride)
+        scaled = anat * k
+        params = stepdetect.estimate_wavelet_params(
+            scaled, fs, stride,
+            *(segmentation.stride_autocorr(scaled[:, c], fs, seg_cfg) for c in (0, 1)))
         idx = [(e.kind, round(e.time_s * fs)) for e in
                stepdetect.detect_events(anat * k, fs, params)]
         if ref_idx is None:

@@ -39,8 +39,9 @@ class TestMatchEvents:
         assert rep.false_positives == [1.1]
 
     def test_tie_goes_to_earlier_detection(self):
-        rep = evaluate.match_events([0.9, 1.1], [1.0])
-        assert rep.pairs == [(0.9, 1.0)]
+        # exactly representable: both detections lie 0.25 s from 1.0
+        rep = evaluate.match_events([0.75, 1.25], [1.0])
+        assert rep.pairs == [(0.75, 1.0)]
 
     def test_each_detection_consumed_once(self):
         rep = evaluate.match_events([1.0], [0.95, 1.05])

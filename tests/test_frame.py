@@ -3,6 +3,8 @@ import pytest
 
 from gaitpipe import frame, synth
 from gaitpipe.core import AmbiguousDirectionError, InsufficientDataError
+from gaitpipe.segmentation import SegmentationConfig, stride_autocorr
+from rotations import rotate_recording
 
 FS = 50.0
 G = 9.81
@@ -56,7 +58,13 @@ class TestEstimateFrame:
     def test_too_short(self):
         accel = horizontal_oscillation([1.0, 0.0], n=100)
         with pytest.raises(InsufficientDataError):
+            frame.estimate_frame(accel, FS, SegmentationConfig(min_bout_s=3.0))
+
+    def test_too_short_for_default_min_bout(self):
+        accel = horizontal_oscillation([1.0, 0.0], n=99)
+        with pytest.raises(InsufficientDataError):
             frame.estimate_frame(accel, FS)
+        frame.estimate_frame(horizontal_oscillation([1.0, 0.0], n=100), FS)
 
     def test_orthonormal_right_handed(self):
         d = np.array([np.cos(0.7), np.sin(0.7)])
@@ -103,6 +111,10 @@ class TestToAnatomical:
                                    np.linalg.norm(x, axis=1), rtol=1e-9)
 
 
+def ap_autocorr(accel_anatomical, fs):
+    return stride_autocorr(accel_anatomical[:, 1], fs, SegmentationConfig())
+
+
 class TestVerifyFrame:
     def _walk_anatomical(self):
         from gaitpipe import orientation
@@ -115,17 +127,17 @@ class TestVerifyFrame:
 
     def test_true_on_synthetic_gait(self):
         aa, fs = self._walk_anatomical()
-        assert frame.verify_frame(aa, fs)
+        assert frame.verify_frame(ap_autocorr(aa, fs), fs)
 
     def test_false_with_swapped_axes(self):
         aa, fs = self._walk_anatomical()
         swapped = aa[:, [0, 2, 1]]  # AP := ML (laterally quiet channel)
-        assert not frame.verify_frame(swapped, fs)
+        assert not frame.verify_frame(ap_autocorr(swapped, fs), fs)
 
     def test_false_on_constant(self):
         accel = np.zeros((400, 3))
         accel[:, 0] = G
-        assert not frame.verify_frame(accel, FS)
+        assert not frame.verify_frame(ap_autocorr(accel, FS), FS)
 
 
 class TestRotationInvariance:
@@ -140,7 +152,7 @@ class TestRotationInvariance:
         rng = np.random.default_rng(6)
         for _ in range(3):
             q = random_unit_quat(rng)
-            rot = orientation.rotate_recording(rec, q)
+            rot = rotate_recording(rec, q)
             ga2 = orientation.align_recording(rot)
             fr2 = frame.estimate_frame(ga2.accel, ga2.sample_rate)
             out = frame.to_anatomical(ga2.accel, fr2)

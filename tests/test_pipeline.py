@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaitpipe import evaluate, pipeline, synth
+from gaitpipe import evaluate, pipeline, segmentation, stepdetect, synth
 from gaitpipe.core import ConfigurationError, FC, IC, SegmentKind
 from gaitpipe.pipeline import PipelineConfig
 from gaitpipe.synth import Phase
@@ -109,6 +109,37 @@ class TestProcessRecording:
             for s in (-1, 1))
         assert f1s[0] < 0.5
         assert f1s[1] >= 0.98
+
+    def test_two_autocorrelations_per_bout(self, monkeypatch):
+        """One vertical and one AP autocorrelation per eligible bout."""
+        calls = []
+        original = segmentation.unbiased_autocorr
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        for module in (segmentation, stepdetect):
+            monkeypatch.setattr(module, "unbiased_autocorr", counted)
+        q = np.array([0.8, 0.2, -0.4, 0.4])
+        rec, _, _, _ = synth.generate(synth.SynthConfig(
+            duration_s=120.0, seed=1, noise_sigma=0.3,
+            sensor_rotation=q / np.linalg.norm(q)))
+        result = pipeline.process_recording(rec)
+        assert len(result.bouts) == 1 and result.bouts[0].skipped_reason is None
+        assert len(calls) == 2
+
+    def test_short_walk_processed(self):
+        """A bout between min_bout_s and 3 s gets events, not a skip."""
+        script = [Phase("rest", 5.0), Phase("walk", 2.2), Phase("rest", 5.0)]
+        rec, _, _, _ = synth.generate(synth.SynthConfig(
+            duration_s=12.2, seed=0, script=script))
+        result = pipeline.process_recording(rec)
+        assert len(result.bouts) == 1
+        bout = result.bouts[0]
+        assert bout.skipped_reason is None
+        assert bout.end_s - bout.start_s < 3.0
+        assert bout.events
 
     def test_determinism(self):
         rec, _, _, _ = synth.generate(synth.SynthConfig(duration_s=20.0,

@@ -164,7 +164,8 @@ class TestUnbiasedAutocorr:
             for p in peaks[peaks < 150]:
                 cfg = SegmentationConfig(stride_lag_min_s=(p - 0.5) / fs,
                                          stride_lag_max_s=p / fs)
-                lag, coef = segmentation.dominant_stride_peak(x, fs, cfg)
+                lag, coef = segmentation.dominant_stride_peak(
+                    segmentation.stride_autocorr(x, fs, cfg), fs, cfg)
                 assert lag == p / fs
                 assert coef == pytest.approx(r[p], abs=1e-12)
                 checked += 1
@@ -246,6 +247,10 @@ class TestDetectTurns:
         assert segmentation.detect_turns(rec) == []
 
 
+def gait_autocorr(x, fs):
+    return segmentation.stride_autocorr(x, fs, SegmentationConfig())
+
+
 class TestVerifyGait:
     def test_periodic_signal_true_with_correct_lag(self):
         fs = 50.0
@@ -255,10 +260,11 @@ class TestVerifyGait:
         kmod = np.floor(t / (stride / 2)).astype(int) % 2
         x = G + (2.0 + 0.6 * (-1.0) ** kmod) * np.sin(2 * np.pi * t / (stride / 2))
         cfg = SegmentationConfig()
-        peak = segmentation.dominant_stride_peak(x, fs, cfg)
+        r = segmentation.stride_autocorr(x, fs, cfg)
+        peak = segmentation.dominant_stride_peak(r, fs, cfg)
         assert peak is not None
         assert peak[0] == pytest.approx(1.2, abs=0.1)
-        assert segmentation.verify_gait(x, fs, cfg)
+        assert segmentation.verify_gait(r, fs, cfg)
 
     def test_white_noise_mostly_false(self):
         fs = 50.0
@@ -267,12 +273,12 @@ class TestVerifyGait:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             x = rng.normal(0, 2.0, n)
-            if not segmentation.verify_gait(x, fs):
+            if not segmentation.verify_gait(gait_autocorr(x, fs), fs):
                 false_count += 1
         assert false_count >= 95
 
     def test_constant_false(self):
-        assert not segmentation.verify_gait(np.full(500, G), 50.0)
+        assert not segmentation.verify_gait(gait_autocorr(np.full(500, G), 50.0), 50.0)
 
 
 class TestEligibleBouts:
@@ -334,7 +340,12 @@ class TestEligibleBouts:
             assert b.duration_s >= cfg.min_bout_s
             i0 = int(round((b.start_s - ga.t[0]) * fs))
             i1 = int(round((b.end_s - ga.t[0]) * fs))
-            assert segmentation.verify_gait(ga.vertical_accel[i0:i1], fs, cfg)
+            # each bout carries the vertical stride analysis it passed
+            r = segmentation.stride_autocorr(ga.vertical_accel[i0:i1], fs, cfg)
+            assert segmentation.verify_gait(r, fs, cfg)
+            np.testing.assert_array_equal(b.vertical_autocorr, r)
+            assert b.peak == segmentation.verify_gait(r, fs, cfg)
+            assert b.samples == slice(i0, i1)
             for turn in turns:
                 if abs(turn.angle_deg) >= cfg.sharp_turn_deg:
                     assert turn.end_s <= b.start_s or turn.start_s >= b.end_s

@@ -12,6 +12,7 @@ from gaitpipe.core import (
     SIDE_RIGHT,
     SIDE_UNKNOWN,
 )
+from gaitpipe.segmentation import SegmentationConfig, stride_autocorr, verify_gait
 from gaitpipe.stepdetect import StrideEstimate, WaveletParams
 
 
@@ -26,21 +27,38 @@ def walk_anatomical(stride_s=1.2, duration_s=30.0, seed=0, noise=0.0):
     return aa, gg, ga.sample_rate, events
 
 
+def stride_of(vertical_accel, fs):
+    """estimate_stride_duration fed with verify_gait's stride peak of
+    vertical_accel, as eligible_bouts finds it."""
+    cfg = SegmentationConfig()
+    return stepdetect.estimate_stride_duration(
+        verify_gait(stride_autocorr(vertical_accel, fs, cfg), fs, cfg))
+
+
+def wavelet_params(aa, fs, stride):
+    """estimate_wavelet_params fed with the vertical and AP stride
+    autocorrelations of aa, as the pipeline feeds it."""
+    cfg = SegmentationConfig()
+    return stepdetect.estimate_wavelet_params(
+        aa, fs, stride, stride_autocorr(aa[:, 0], fs, cfg),
+        stride_autocorr(aa[:, 1], fs, cfg))
+
+
 class TestEstimateStride:
     def test_stride_1p2(self):
         aa, _, fs, _ = walk_anatomical(1.2)
-        st = stepdetect.estimate_stride_duration(aa[:, 0], fs)
+        st = stride_of(aa[:, 0], fs)
         assert st.stride_s == pytest.approx(1.2, abs=0.05)
         assert st.max_stride_s == pytest.approx(1.8, abs=0.075)
 
     def test_stride_0p9(self):
         aa, _, fs, _ = walk_anatomical(0.9, seed=1)
-        st = stepdetect.estimate_stride_duration(aa[:, 0], fs)
+        st = stride_of(aa[:, 0], fs)
         assert st.stride_s == pytest.approx(0.9, abs=0.05)
 
     def test_constant_no_cadence(self):
         with pytest.raises(NoCadenceError):
-            stepdetect.estimate_stride_duration(np.full(1000, 9.81), 50.0)
+            stride_of(np.full(1000, 9.81), 50.0)
 
 
 class TestWaveletParams:
@@ -59,26 +77,26 @@ class TestWaveletParams:
         # replace the AP channel with noise; normalized autocorrelation is
         # amplitude invariant so mere downscaling would not steer the choice
         aa[:, 1] = rng.normal(0, 1.0, len(aa))
-        st = stepdetect.estimate_stride_duration(aa[:, 0], fs)
-        params = stepdetect.estimate_wavelet_params(aa, fs, st)
+        st = stride_of(aa[:, 0], fs)
+        params = wavelet_params(aa, fs, st)
         assert params.axis == stepdetect.AXIS_VERTICAL
 
     def test_negating_signal_flips_sign(self):
         aa, _, fs, _ = walk_anatomical(1.2, seed=3)
-        st = stepdetect.estimate_stride_duration(aa[:, 0], fs)
-        p1 = stepdetect.estimate_wavelet_params(aa, fs, st)
+        st = stride_of(aa[:, 0], fs)
+        p1 = wavelet_params(aa, fs, st)
         neg = aa.copy()
         col = 0 if p1.axis == stepdetect.AXIS_VERTICAL else 1
         neg[:, col] = -neg[:, col]
-        p2 = stepdetect.estimate_wavelet_params(neg, fs, st)
+        p2 = wavelet_params(neg, fs, st)
         assert p2.sign == -p1.sign
 
 
 class TestDetectEvents:
     def test_clean_gait_ics_within_60ms(self):
         aa, _, fs, events = walk_anatomical(1.2, seed=4)
-        st = stepdetect.estimate_stride_duration(aa[:, 0], fs)
-        params = stepdetect.estimate_wavelet_params(aa, fs, st)
+        st = stride_of(aa[:, 0], fs)
+        params = wavelet_params(aa, fs, st)
         det = stepdetect.detect_events(aa, fs, params)
         det_ic = np.array([e.time_s for e in det if e.kind == IC])
         ref_ic = [e.time_s for e in events if e.kind == IC]
@@ -90,8 +108,8 @@ class TestDetectEvents:
         pad = np.zeros((int(10 * fs), 3))
         pad[:, 0] = aa[:, 0].mean()
         padded = np.vstack([aa, pad])
-        st = stepdetect.estimate_stride_duration(aa[:, 0], fs)
-        params = stepdetect.estimate_wavelet_params(aa, fs, st)
+        st = stride_of(aa[:, 0], fs)
+        params = wavelet_params(aa, fs, st)
         det = stepdetect.detect_events(padded, fs, params)
         walk_end = len(aa) / fs
         late = [e for e in det if e.time_s > walk_end + 1.0]
@@ -99,12 +117,12 @@ class TestDetectEvents:
 
     def test_amplitude_scaling_exact_index_equality(self):
         aa, _, fs, _ = walk_anatomical(1.2, seed=6)
-        st = stepdetect.estimate_stride_duration(aa[:, 0], fs)
-        params = stepdetect.estimate_wavelet_params(aa, fs, st)
+        st = stride_of(aa[:, 0], fs)
+        params = wavelet_params(aa, fs, st)
         base = [(e.kind, round(e.time_s * fs)) for e in
                 stepdetect.detect_events(aa, fs, params)]
         for k in (0.5, 2.0, 10.0):
-            scaled_params = stepdetect.estimate_wavelet_params(aa * k, fs, st)
+            scaled_params = wavelet_params(aa * k, fs, st)
             out = [(e.kind, round(e.time_s * fs)) for e in
                    stepdetect.detect_events(aa * k, fs, scaled_params)]
             assert out == base
@@ -117,8 +135,8 @@ class TestDetectEvents:
 
     def test_determinism(self):
         aa, _, fs, _ = walk_anatomical(1.2, seed=8, noise=0.3)
-        st = stepdetect.estimate_stride_duration(aa[:, 0], fs)
-        params = stepdetect.estimate_wavelet_params(aa, fs, st)
+        st = stride_of(aa[:, 0], fs)
+        params = wavelet_params(aa, fs, st)
         a = stepdetect.detect_events(aa, fs, params)
         b = stepdetect.detect_events(aa, fs, params)
         assert [(e.time_s, e.kind) for e in a] == [(e.time_s, e.kind) for e in b]
@@ -127,8 +145,8 @@ class TestDetectEvents:
 class TestLaterality:
     def _detected_with_sides(self, seed=9):
         aa, gg, fs, events = walk_anatomical(1.2, seed=seed)
-        st = stepdetect.estimate_stride_duration(aa[:, 0], fs)
-        params = stepdetect.estimate_wavelet_params(aa, fs, st)
+        st = stride_of(aa[:, 0], fs)
+        params = wavelet_params(aa, fs, st)
         det = stepdetect.detect_events(aa, fs, params)
         return stepdetect.assign_laterality(det, gg, fs), gg, fs, det
 
@@ -194,10 +212,41 @@ class TestQualityCheck:
         out = stepdetect.quality_check(events, self.STRIDE)
         assert [e.time_s for e in out] == [1.0, 2.0]
 
+    def test_fc_gate_matches_per_fc_filter(self):
+        """The FCs kept are those of the per-FC filter: the last IC at or
+        before the FC, within the FC window. Times are multiples of
+        0.125 s, so FCs fall exactly on ICs and on the window's edge
+        (0.375 s); events of one kind are at least MIN_EVENT_SPACING_S
+        apart, so none collapse."""
+        window = 0.25 * self.STRIDE.max_stride_s
+
+        def kept_fcs(ic_t, fc_t):
+            events = ([GaitEvent(t, IC, strength=1.0) for t in ic_t]
+                      + [GaitEvent(t, FC, strength=1.0) for t in fc_t])
+            out = stepdetect.quality_check(events, self.STRIDE)
+            ics = np.array([e.time_s for e in out if e.kind == IC])
+            want = []
+            for t in fc_t:
+                before = ics[ics <= t]
+                if len(before) and t - before[-1] <= window:
+                    want.append(t)
+            got = [e.time_s for e in out if e.kind == FC]
+            assert got == want
+            return got
+
+        # before the first IC, at an IC, at the edge, past the edge
+        assert kept_fcs([1.0, 2.0, 3.0],
+                        [0.25, 0.5, 1.0, 2.375, 2.75]) == [1.0, 2.375]
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            ics = 1.0 + np.cumsum(rng.integers(2, 12, rng.integers(0, 8)) * 0.125)
+            fcs = np.cumsum(rng.integers(2, 8, rng.integers(0, 12)) * 0.125)
+            kept_fcs(ics.tolist(), fcs.tolist())
+
     def test_output_ordering_invariants(self):
         aa, gg, fs, _ = walk_anatomical(1.2, seed=10, noise=0.3)
-        st = stepdetect.estimate_stride_duration(aa[:, 0], fs)
-        params = stepdetect.estimate_wavelet_params(aa, fs, st)
+        st = stride_of(aa[:, 0], fs)
+        params = wavelet_params(aa, fs, st)
         det = stepdetect.assign_laterality(
             stepdetect.detect_events(aa, fs, params), gg, fs)
         out = stepdetect.quality_check(det, st)
