@@ -18,6 +18,7 @@ from . import factors as factors_mod
 from . import ingest, pipeline, synth
 from .core import FC, IC, GaitPipeError
 from .evaluate import (
+    DEFAULT_WINDOW_S,
     compute_metrics,
     match_events,
     metrics_to_json,
@@ -191,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score detected events against a reference")
     p.add_argument("events")
     p.add_argument("reference")
-    p.add_argument("--window", type=float, default=0.5)
+    p.add_argument("--window", type=float, default=DEFAULT_WINDOW_S)
     p.add_argument("--participant")
     p.add_argument("--out", default="metrics.json")
     p.set_defaults(func=cmd_evaluate)

@@ -1,9 +1,11 @@
-"""Shared domain types, error classes, and quaternion helpers."""
+"""Shared domain types, error classes, quaternion helpers and the
+zero-phase low-pass filter."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.signal import butter, filtfilt
 
 
 class GaitPipeError(Exception):
@@ -166,13 +168,15 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix R such that R @ v rotates v by q."""
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    """Rotation matrices R such that R @ v rotates v by q: (..., 4)
+    quaternions give (..., 3, 3) matrices."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    R = np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ]).reshape((3, 3) + np.shape(w))
+    return np.moveaxis(R, (0, 1), (-2, -1))
 
 
 def quat_from_two_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,3 +199,18 @@ def quat_from_two_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def random_unit_quat(rng: np.random.Generator) -> np.ndarray:
     q = rng.normal(size=4)
     return quat_normalize(q)
+
+
+# ---------------------------------------------------------------------------
+# Filtering
+
+def lowpass(x: np.ndarray, cutoff_hz: float, fs: float,
+            padtype: str = "odd") -> np.ndarray:
+    """Zero-phase second-order Butterworth low-pass along axis 0.
+
+    filtfilt pads each edge with 9 samples (``padtype`` "odd" or "even"
+    extension) before the forward-backward pass, so x needs at least 10
+    samples; cutoff_hz must be below the Nyquist frequency fs / 2.
+    """
+    b, a = butter(2, cutoff_hz, fs=fs)
+    return filtfilt(b, a, x, axis=0, padtype=padtype)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import stats
@@ -196,7 +196,7 @@ def two_stage_aggregate(values_per_participant: dict) -> AggregateSummary:
 
 def metrics_to_json(kind: str, metrics: MetricSet,
                     errors: TemporalErrorSet | None) -> dict:
-    doc = {
+    return {
         "kind": kind,
         "precision": metrics.precision,
         "recall": metrics.recall,
@@ -204,29 +204,9 @@ def metrics_to_json(kind: str, metrics: MetricSet,
         "tp": metrics.tp,
         "fp": metrics.fp,
         "fn": metrics.fn,
+        "errors": asdict(errors) if errors is not None else None,
     }
-    if errors is not None:
-        doc["errors"] = {
-            "n_steps": errors.n_steps,
-            "constant_s": errors.constant_s,
-            "absolute_s": errors.absolute_s,
-            "variable_s": errors.variable_s,
-            "total_variability_s": errors.total_variability_s,
-            "median_s": errors.median_s,
-            "median_abs_s": errors.median_abs_s,
-            "iqr_s": errors.iqr_s,
-        }
-    else:
-        doc["errors"] = None
-    return doc
 
 
 def summary_to_json(summary: AggregateSummary) -> dict:
-    return {
-        "median": summary.median, "iqr": summary.iqr,
-        "q1": summary.q1, "q3": summary.q3,
-        "p05": summary.p05, "p95": summary.p95,
-        "mean": summary.mean,
-        "ci95_lo": summary.ci95_lo, "ci95_hi": summary.ci95_hi,
-        "ws_iqr": summary.ws_iqr,
-    }
+    return asdict(summary)

@@ -13,7 +13,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import butter, filtfilt
 
 from .core import (
     ConfigurationError,
@@ -22,6 +21,7 @@ from .core import (
     ImuRecording,
     InsufficientDataError,
     ParseError,
+    lowpass,
 )
 
 RECORDING_HEADER = ["t", "ax", "ay", "az", "gx", "gy", "gz"]
@@ -165,10 +165,7 @@ def lowpass_accel(rec: ImuRecording, cutoff: float = 17.0) -> ImuRecording:
     nyq = rec.sample_rate / 2.0
     if cutoff >= nyq:
         raise ConfigurationError(f"cutoff {cutoff} Hz >= Nyquist {nyq} Hz")
-    b, a = butter(2, cutoff, fs=rec.sample_rate)
-    accel = np.column_stack([
-        filtfilt(b, a, rec.accel[:, k], padtype="even") for k in range(3)
-    ])
+    accel = lowpass(rec.accel, cutoff, rec.sample_rate, padtype="even")
     return ImuRecording(t=rec.t.copy(), accel=accel, gyro=rec.gyro.copy(),
                         sample_rate=rec.sample_rate,
                         device_id=rec.device_id, session_id=rec.session_id)

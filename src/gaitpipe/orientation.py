@@ -10,6 +10,7 @@ from .core import (
     ImuRecording,
     InsufficientDataError,
     quat_from_two_vectors,
+    quat_to_matrix,
 )
 
 DEFAULT_BETA = 0.041
@@ -42,24 +43,13 @@ def align_with_gravity(rec: ImuRecording, quats: np.ndarray) -> GravityAlignedRe
     """Rotate samples into the gravity frame; axis order (vertical, h1, h2)."""
     if len(quats) != len(rec.t):
         raise ContractError("orientation sequence length mismatch")
-    w, x, y, z = quats[:, 0], quats[:, 1], quats[:, 2], quats[:, 3]
-    # rows of R(q) give earth-frame components of the sensor basis
-    r00 = 1 - 2 * (y * y + z * z)
-    r01 = 2 * (x * y - w * z)
-    r02 = 2 * (x * z + w * y)
-    r10 = 2 * (x * y + w * z)
-    r11 = 1 - 2 * (x * x + z * z)
-    r12 = 2 * (y * z - w * x)
-    r20 = 2 * (x * z - w * y)
-    r21 = 2 * (y * z + w * x)
-    r22 = 1 - 2 * (x * x + y * y)
+    # rows of R(q) give earth-frame components of the sensor basis;
+    # vertical-up first, then the two horizontal axes
+    R = quat_to_matrix(quats)[:, [2, 0, 1]]
 
     def rot(v):
-        ex = r00 * v[:, 0] + r01 * v[:, 1] + r02 * v[:, 2]
-        ey = r10 * v[:, 0] + r11 * v[:, 1] + r12 * v[:, 2]
-        ez = r20 * v[:, 0] + r21 * v[:, 1] + r22 * v[:, 2]
-        # vertical-up first, then the two horizontal axes
-        return np.column_stack([ez, ex, ey])
+        return (R[..., 0] * v[:, None, 0] + R[..., 1] * v[:, None, 1]
+                + R[..., 2] * v[:, None, 2])
 
     return GravityAlignedRecording(
         t=rec.t.copy(),

@@ -32,7 +32,6 @@ class PipelineConfig(SegmentationConfig):
     resample_hz: float | None = None
     lowpass_cutoff_hz: float = 17.0
     madgwick_beta: float = 0.041
-    match_window_s: float = 0.5
     # optional overrides for the adaptive wavelet parameter estimation
     wavelet_scale: float | None = None
     wavelet_axis: str | None = None
@@ -40,10 +39,10 @@ class PipelineConfig(SegmentationConfig):
 
     def validate(self) -> None:
         super().validate()
+        if self.resample_hz is not None and self.resample_hz <= 0:
+            raise ConfigurationError("resample_hz must be positive")
         if self.lowpass_cutoff_hz <= 0 or self.madgwick_beta <= 0:
             raise ConfigurationError("filter cutoff and Madgwick beta must be positive")
-        if self.match_window_s <= 0:
-            raise ConfigurationError("match window must be positive")
         if self.wavelet_scale is not None and self.wavelet_scale <= 0:
             raise ConfigurationError("wavelet_scale must be positive")
         if self.wavelet_axis not in (None, stepdetect.AXIS_VERTICAL, stepdetect.AXIS_AP):
@@ -90,6 +89,7 @@ def process_recording(rec: ImuRecording,
     """Run ingest regularization through step detection on one recording."""
     config = config or PipelineConfig()
     config.validate()
+    rec.validate()
 
     rec = ingest.ensure_uniform(rec, config.resample_hz)
     if config.lowpass_cutoff_hz < rec.sample_rate / 2.0:

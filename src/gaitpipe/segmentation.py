@@ -2,17 +2,18 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.signal import butter, filtfilt, find_peaks
+from scipy.signal import find_peaks
 
 from .core import (
     ConfigurationError,
     GravityAlignedRecording,
     Segment,
     SegmentKind,
+    lowpass,
 )
 
 GRAVITY = 9.81
@@ -41,11 +42,20 @@ class SegmentationConfig:
     autocorr_peak_min: float = 0.3
 
     def validate(self) -> None:
+        values = [getattr(self, f.name) for f in fields(self)]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ConfigurationError("config values must be finite")
         positives = [self.window_s, self.accel_ref, self.accel_tol, self.gyro_thresh,
                      self.std_thresh, self.merge_gap_s, self.rest_split_s,
-                     self.min_bout_s, self.boundary_margin_s, self.sharp_turn_deg]
+                     self.min_bout_s, self.boundary_margin_s, self.sharp_turn_deg,
+                     self.turn_lowpass_hz]
         if any(v <= 0 for v in positives):
             raise ConfigurationError("all segmentation parameters must be positive")
+        if not 0 <= self.turn_stop_dps <= self.turn_start_dps:
+            raise ConfigurationError(
+                "turn rates need 0 <= turn_stop_dps <= turn_start_dps")
+        if self.turn_merge_s < 0:
+            raise ConfigurationError("turn_merge_s must not be negative")
         if not 0.2 <= self.gyro_thresh <= 0.6:
             raise ConfigurationError("gyro_thresh outside valid range [0.2, 0.6] rad/s")
         if not 0.05 <= self.std_thresh <= 0.4:
@@ -188,28 +198,18 @@ def detect_turns(rec: GravityAlignedRecording, cfg: SegmentationConfig | None = 
     if len(yaw) < 10:
         return []
     if cfg.turn_lowpass_hz < fs / 2.0:
-        b, a = butter(2, cfg.turn_lowpass_hz, fs=fs)
-        padlen = min(3 * max(len(a), len(b)), len(yaw) - 1)
-        yaw = filtfilt(b, a, yaw, padlen=padlen)
-    yaw_dps = np.degrees(yaw)
-
-    above = np.abs(yaw_dps) > cfg.turn_start_dps
-    candidates = []
-    for a_i, b_i, val in _runs(above):
-        if not val:
-            continue
-        lo = a_i
-        while lo > 0 and abs(yaw_dps[lo - 1]) > cfg.turn_stop_dps:
-            lo -= 1
-        hi = b_i
-        while hi < len(yaw_dps) and abs(yaw_dps[hi]) > cfg.turn_stop_dps:
-            hi += 1
-        candidates.append([lo, hi])
+        yaw = lowpass(yaw, cfg.turn_lowpass_hz, fs)
+    # a turn is a run above the stop rate that reaches the start rate;
+    # n_fast[i] counts the samples above the start rate before sample i
+    speed = np.abs(np.degrees(yaw))
+    n_fast = np.concatenate([[0], np.cumsum(speed > cfg.turn_start_dps)])
+    candidates = [(lo, hi) for lo, hi, turning in _runs(speed > cfg.turn_stop_dps)
+                  if turning and n_fast[hi] > n_fast[lo]]
 
     merged = []
     for lo, hi in candidates:
         if merged and (lo - merged[-1][1]) / fs < cfg.turn_merge_s:
-            merged[-1][1] = max(merged[-1][1], hi)
+            merged[-1][1] = hi
         else:
             merged.append([lo, hi])
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, filtfilt, find_peaks
+from scipy.signal import find_peaks
 
 from .core import (
     FC,
@@ -15,6 +15,7 @@ from .core import (
     SIDE_LEFT,
     SIDE_RIGHT,
     SIDE_UNKNOWN,
+    lowpass,
 )
 # importable from here because gaitbench wraps these bindings by name
 from .segmentation import dominant_stride_peak, unbiased_autocorr  # noqa: F401
@@ -163,9 +164,7 @@ def assign_laterality(events: list[GaitEvent], gyro_anatomical: np.ndarray,
     velocity; each FC inherits the opposite side of its preceding IC."""
     yaw = gyro_anatomical[:, 0]
     if len(yaw) > 15 and LATERALITY_LOWPASS_HZ < fs / 2.0:
-        b, a = butter(2, LATERALITY_LOWPASS_HZ, fs=fs)
-        padlen = min(3 * max(len(a), len(b)), len(yaw) - 1)
-        yaw = filtfilt(b, a, yaw, padlen=padlen)
+        yaw = lowpass(yaw, LATERALITY_LOWPASS_HZ, fs)
 
     out = []
     last_ic_side = SIDE_UNKNOWN

@@ -177,7 +177,7 @@ def generate(cfg: SynthConfig):
     gyro_frame = np.column_stack([np.zeros(n), np.zeros(n), yaw])
     if cfg.noise_sigma > 0:
         accel_frame = accel_frame + rng.normal(0.0, cfg.noise_sigma, accel_frame.shape)
-    rot = quat_to_matrix(np.asarray(cfg.sensor_rotation, dtype=float))
+    rot = quat_to_matrix(cfg.sensor_rotation)
     accel = accel_frame @ rot.T
     gyro = gyro_frame @ rot.T
 

@@ -10,12 +10,27 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def gravity_direction(quats: np.ndarray) -> np.ndarray:
     """Estimated gravity direction in the sensor frame, one row per sample."""
+    return quat_to_matrix(quats)[:, 2]
+
+
+def reference_gravity_rotate(quats: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rotate each row of v by its quaternion into (vertical, h1, h2),
+    one matrix entry at a time (the reference for
+    orientation.align_with_gravity, which must match it exactly)."""
     w, x, y, z = quats[:, 0], quats[:, 1], quats[:, 2], quats[:, 3]
-    return np.column_stack([
-        2.0 * (x * z - w * y),
-        2.0 * (w * x + y * z),
-        1.0 - 2.0 * (x * x + y * y),
-    ])
+    r00 = 1 - 2 * (y * y + z * z)
+    r01 = 2 * (x * y - w * z)
+    r02 = 2 * (x * z + w * y)
+    r10 = 2 * (x * y + w * z)
+    r11 = 1 - 2 * (x * x + z * z)
+    r12 = 2 * (y * z - w * x)
+    r20 = 2 * (x * z - w * y)
+    r21 = 2 * (y * z + w * x)
+    r22 = 1 - 2 * (x * x + y * y)
+    ex = r00 * v[:, 0] + r01 * v[:, 1] + r02 * v[:, 2]
+    ey = r10 * v[:, 0] + r11 * v[:, 1] + r12 * v[:, 2]
+    ez = r20 * v[:, 0] + r21 * v[:, 1] + r22 * v[:, 2]
+    return np.column_stack([ez, ex, ey])
 
 
 def rotate_recording(rec: ImuRecording, quat: np.ndarray) -> ImuRecording:

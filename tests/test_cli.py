@@ -69,7 +69,7 @@ class TestWorkflow:
              "--out-events", tmp_path / "t.csv",
              "--out-segments", tmp_path / "s.json"])
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"match_window_s": 0.4}))
+        cfg.write_text(json.dumps({"turn_merge_s": 0.4}))
         assert run(["process", recording, "--config", cfg,
                     "--out-events", tmp_path / "e.json",
                     "--out-segments", tmp_path / "g.json"]) == 0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import butter, filtfilt
 
 from gaitpipe import ingest
 from gaitpipe.core import (
@@ -200,10 +201,25 @@ class TestLowpass:
         out = ingest.lowpass_accel(make_rec(t, gyro=gyro, rate=fs), 17.0)
         np.testing.assert_array_equal(out.gyro, gyro)
 
+    def test_equals_per_column_filtfilt(self):
+        fs = 50.0
+        rng = np.random.default_rng(8)
+        data = rng.normal(0, 2.0, (3000, 7))
+        # a strided column view, as load_recording returns
+        accel = data[:, 1:4]
+        out = ingest.lowpass_accel(make_rec(np.arange(3000) / fs, accel=accel,
+                                            rate=fs), 17.0)
+        b, a = butter(2, 17.0, fs=fs)
+        per_column = np.column_stack([filtfilt(b, a, accel[:, k], padtype="even")
+                                      for k in range(3)])
+        assert np.array_equal(out.accel, per_column)
+
     def test_cutoff_at_nyquist_rejected(self):
-        t = np.arange(100) / 30.0
-        with pytest.raises(ConfigurationError):
-            ingest.lowpass_accel(make_rec(t, rate=30.0), 17.0)
+        # Nyquist 15 Hz, below the 17 Hz cutoff, and exactly 17 Hz
+        for rate in (30.0, 34.0):
+            t = np.arange(100) / rate
+            with pytest.raises(ConfigurationError):
+                ingest.lowpass_accel(make_rec(t, rate=rate), 17.0)
 
 
 class TestEnsureUniform:

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from gaitpipe import kernels, orientation, synth
-from gaitpipe.core import ContractError, ImuRecording, random_unit_quat
-from rotations import gravity_direction, quat_rotate, rotate_recording
+from gaitpipe.core import ContractError, ImuRecording, quat_to_matrix, random_unit_quat
+from rotations import (
+    gravity_direction,
+    quat_rotate,
+    reference_gravity_rotate,
+    rotate_recording,
+)
 
 G = 9.81
 
@@ -124,7 +129,28 @@ class TestMadgwickBatch:
             assert np.array_equal(got, reference_madgwick(accel, gyro, dt, beta, q0))
 
 
+class TestQuatToMatrix:
+    def test_batch_equals_per_quaternion(self):
+        rng = np.random.default_rng(5)
+        quats = np.array([random_unit_quat(rng) for _ in range(24)])
+        one_by_one = np.array([quat_to_matrix(q) for q in quats])
+        assert np.array_equal(quat_to_matrix(quats), one_by_one)
+        assert np.array_equal(quat_to_matrix(quats.reshape(4, 6, 4)),
+                              one_by_one.reshape(4, 6, 3, 3))
+
+
 class TestAlignWithGravity:
+    def test_equals_entrywise_reference(self):
+        rng = np.random.default_rng(6)
+        for seed in range(3):
+            rec, _, _, _ = synth.generate(synth.SynthConfig(
+                duration_s=20.0, seed=seed, noise_sigma=0.3,
+                sensor_rotation=random_unit_quat(rng)))
+            quats = orientation.estimate_orientation(rec)
+            out = orientation.align_with_gravity(rec, quats)
+            assert np.array_equal(out.accel, reference_gravity_rotate(quats, rec.accel))
+            assert np.array_equal(out.gyro, reference_gravity_rotate(quats, rec.gyro))
+
     def test_identity_orientation_reorders_axes_only(self):
         rec = static_rec([0.0, 0.0, G], duration_s=1.0)
         n = len(rec.t)

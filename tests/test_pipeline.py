@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaitpipe import evaluate, pipeline, segmentation, stepdetect, synth
-from gaitpipe.core import ConfigurationError, FC, IC, SegmentKind
+from gaitpipe.core import ConfigurationError, ContractError, FC, IC, SegmentKind
 from gaitpipe.pipeline import PipelineConfig
 from gaitpipe.synth import Phase
 
@@ -24,11 +24,23 @@ class TestPipelineConfig:
         {"wavelet_axis": "sideways"},
         {"wavelet_sign": 2},
         {"madgwick_beta": -1.0},
-        {"match_window_s": -1.0},
+        {"min_bout_s": -1.0},
         {"wavelet_scale": -1.0},
         {"stride_lag_min_s": 3.0},
         {"stride_lag_max_s": 0.0},
         {"stride_lag_min_s": 0.0},
+        {"window_s": float("nan")},
+        {"stride_lag_max_s": float("inf")},
+        {"wavelet_scale": float("nan")},
+        {"resample_hz": float("nan")},
+        {"resample_hz": float("inf")},
+        {"resample_hz": 0.0},
+        {"turn_lowpass_hz": -1.0},
+        {"turn_lowpass_hz": 0.0},
+        {"turn_stop_dps": -1.0},
+        {"turn_stop_dps": 20.0},
+        {"turn_start_dps": 4.0},
+        {"turn_merge_s": -0.1},
     ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
     def test_invalid_values_rejected(self, bad):
         """JSON and a config built in code go through the same checks."""
@@ -40,8 +52,14 @@ class TestPipelineConfig:
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text('{"match_window_s": 0.4}\n')
-        assert PipelineConfig.load(path).match_window_s == 0.4
+        path.write_text('{"turn_merge_s": 0.4}\n')
+        assert PipelineConfig.load(path).turn_merge_s == 0.4
+
+    def test_nan_from_json_text_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"window_s": NaN}\n')
+        with pytest.raises(ConfigurationError):
+            PipelineConfig.load(path)
 
 
 class TestProcessRecording:
@@ -140,6 +158,15 @@ class TestProcessRecording:
         assert bout.skipped_reason is None
         assert bout.end_s - bout.start_s < 3.0
         assert bout.events
+
+    @pytest.mark.parametrize("stream", ["accel", "gyro"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, stream, value):
+        """A direct call validates the recording as load_recording does."""
+        rec, _, _, _ = synth.generate(synth.SynthConfig(duration_s=10.0, seed=0))
+        getattr(rec, stream)[200, 1] = value
+        with pytest.raises(ContractError):
+            pipeline.process_recording(rec)
 
     def test_determinism(self):
         rec, _, _, _ = synth.generate(synth.SynthConfig(duration_s=20.0,

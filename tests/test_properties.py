@@ -1,5 +1,5 @@
 """Property tests of the sharp-turn splitter, the config round trip, the
-event matcher and the run splitter."""
+event matcher, the run splitter and the turn detector."""
 import json
 from dataclasses import fields
 
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import butter, filtfilt
 
 from gaitpipe import evaluate, segmentation, stepdetect
 from gaitpipe.core import GravityAlignedRecording, Segment, SegmentKind
@@ -105,7 +106,8 @@ def configs():
     }
     return st.builds(PipelineConfig, **{f.name: special.get(f.name, positive)
                                         for f in fields(PipelineConfig)}).filter(
-        lambda cfg: cfg.stride_lag_min_s < cfg.stride_lag_max_s)
+        lambda cfg: cfg.stride_lag_min_s < cfg.stride_lag_max_s
+        and cfg.turn_stop_dps <= cfg.turn_start_dps)
 
 
 @given(configs())
@@ -181,3 +183,74 @@ def test_runs_tile_their_input(flags):
     assert pos == len(flags)
     for (_, _, v1), (_, _, v2) in zip(runs, runs[1:]):
         assert v1 != v2
+
+
+def reference_turns(rec, cfg):
+    """detect_turns written as sample-by-sample hysteresis: each run above
+    turn_start_dps grows while the neighbouring samples stay above
+    turn_stop_dps, and candidates closer than turn_merge_s are merged."""
+    fs = rec.sample_rate
+    yaw = rec.vertical_gyro
+    if len(yaw) < 10:
+        return []
+    if cfg.turn_lowpass_hz < fs / 2.0:
+        b, a = butter(2, cfg.turn_lowpass_hz, fs=fs)
+        padlen = min(3 * max(len(a), len(b)), len(yaw) - 1)
+        yaw = filtfilt(b, a, yaw, padlen=padlen)
+    yaw_dps = np.degrees(yaw)
+    above = np.abs(yaw_dps) > cfg.turn_start_dps
+    candidates = []
+    for a_i, b_i, val in segmentation._runs(above):
+        if not val:
+            continue
+        lo = a_i
+        while lo > 0 and abs(yaw_dps[lo - 1]) > cfg.turn_stop_dps:
+            lo -= 1
+        hi = b_i
+        while hi < len(yaw_dps) and abs(yaw_dps[hi]) > cfg.turn_stop_dps:
+            hi += 1
+        candidates.append([lo, hi])
+    merged = []
+    for lo, hi in candidates:
+        if merged and (lo - merged[-1][1]) / fs < cfg.turn_merge_s:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return [TurnInterval(start_s=float(rec.t[0] + lo / fs),
+                         end_s=float(rec.t[0] + hi / fs),
+                         angle_deg=float(np.degrees(np.trapezoid(
+                             rec.vertical_gyro[lo:hi], dx=1.0 / fs))))
+            for lo, hi in merged]
+
+
+@st.composite
+def yaw_traces(draw):
+    """A yaw-rate trace (rad/s) held piecewise constant over random runs,
+    its sample rate, and turn thresholds with turn_stop_dps <=
+    turn_start_dps. At 2 Hz the 1.5 Hz low-pass is skipped, so the raw
+    steps reach the run finder, and thresholds drawn from the trace's
+    own rates put samples exactly on them."""
+    fs = draw(st.sampled_from([2.0, 10.0, 50.0]))
+    levels = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.integers(1, 40)),
+                           min_size=1, max_size=30))
+    yaw = np.repeat([v for v, _ in levels], [k for _, k in levels])
+    rates = sorted(float(abs(np.degrees(v))) for v, _ in levels)
+    start = draw(st.sampled_from(rates) | st.floats(0.0, 40.0))
+    stop = draw(st.sampled_from([r for r in rates if r <= start] or [0.0])
+                | st.floats(0.0, start))
+    cfg = SegmentationConfig(turn_start_dps=start, turn_stop_dps=stop,
+                             turn_merge_s=draw(st.sampled_from([0.0, 0.05, 0.5, 2.0])))
+    return yaw, fs, cfg
+
+
+@settings(max_examples=300)
+@given(yaw_traces())
+def test_turns_equal_hysteresis_reference(case):
+    yaw, fs, cfg = case
+    n = len(yaw)
+    gyro = np.zeros((n, 3))
+    gyro[:, 0] = yaw
+    rec = GravityAlignedRecording(t=3.0 + np.arange(n) / fs, accel=np.zeros((n, 3)),
+                                  gyro=gyro, sample_rate=fs,
+                                  orientation=np.tile([1.0, 0, 0, 0], (n, 1)))
+    assert segmentation.detect_turns(rec, cfg) == reference_turns(rec, cfg)
