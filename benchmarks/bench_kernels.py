@@ -1,16 +1,23 @@
-"""Timings of the two hot kernels: the Madgwick loop and the MCMC chain.
+"""Timings of the hot kernels: the CSV load, the Madgwick loop, the
+anatomical rotation and the MCMC chain.
 
 Run with:  python3 benchmarks/bench_kernels.py
 
-The chain is timed at the shape of acceptance criterion 7: 60 subjects x
-10 observations, two chains advanced together.
+The load, Madgwick and rotation are timed at the size of a 1 h recording
+at 50 Hz (180,000 samples). The rotation input is F-ordered, as the
+bouts of a gravity-aligned recording are. The chain is timed at the
+shape of acceptance criterion 7: 60 subjects x 10 observations, two
+chains advanced together.
 """
 import math
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
-from gaitpipe import factors, kernels
+from gaitpipe import factors, frame, ingest, kernels
+from gaitpipe.core import ImuRecording
 
 
 def best_of(fn, *args, repeats=3):
@@ -23,13 +30,28 @@ def best_of(fn, *args, repeats=3):
 
 
 def main():
-    n = 200_000
+    n = 180_000
     rng = np.random.default_rng(0)
     acc = rng.normal(0, 1, (n, 3)) + np.array([0.0, 0.0, 9.81])
     gyro = rng.normal(0, 0.1, (n, 3))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "recording.csv"
+        ingest.write_recording(ImuRecording(t=np.arange(n) / 50.0, accel=acc,
+                                            gyro=gyro), path)
+        load = best_of(ingest.load_recording, path)
+    print(f"load_recording ({n} rows):   {load * 1e3:9.1f} ms")
+
     mad_args = (acc, gyro, 0.02, 0.041, np.array([1.0, 0.0, 0.0, 0.0]))
     mad = best_of(kernels.madgwick_batch, *mad_args)
     print(f"madgwick_batch ({n} samples): {mad * 1e3:9.1f} ms")
+
+    samples = np.asfortranarray(acc)
+    anat = frame.AnatomicalFrame(vertical=np.array([1.0, 0.0, 0.0]),
+                                 antero_posterior=np.array([0.0, 0.6, 0.8]),
+                                 medio_lateral=np.array([0.0, -0.8, 0.6]))
+    rot = best_of(frame.to_anatomical, samples, anat)
+    print(f"to_anatomical ({n} samples):  {rot * 1e3:9.1f} ms")
 
     obs, _ = factors.simulate_dataset(n_subjects=60, obs_per_subject=10,
                                       seed=100)

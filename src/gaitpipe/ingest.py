@@ -10,6 +10,7 @@ import array
 import csv
 import io
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +27,15 @@ from .core import (
 
 RECORDING_HEADER = ["t", "ax", "ay", "az", "gx", "gy", "gz"]
 EVENTS_HEADER = ["t", "kind", "side"]
+WRITE_BLOCK_ROWS = 8192
 
 
 def _open_text(source):
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8", newline="")
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
+        # newline="" as for a path: csv.reader sees \r, \n and \r\n line ends
+        return io.StringIO(source.decode("utf-8"), newline="")
     return source
 
 
@@ -76,8 +79,37 @@ def finite_float(text: str, lineno: int) -> float:
     return value
 
 
-def load_recording(source, device_id: str = "", session_id: str = "") -> ImuRecording:
-    """Parse a recording CSV into an ImuRecording, preserving sample order."""
+def _loadtxt_values(source) -> np.ndarray | None:
+    """The (n, 7) data rows of a path or bytes source, parsed in C by
+    ``np.loadtxt``, or None where that parse refuses the rows.
+
+    The header is read by ``csv.reader``, as in ``csv_rows``. Where
+    numpy accepts a number, ``float`` accepts it too and gives the same
+    double. numpy refuses the rest (quotes, ``1_0``, a bad number, a
+    whitespace-only line, a ``\\r`` line end, a ragged row), and any
+    field count but 7 is refused here; the caller then parses the
+    source again with ``csv_rows``, so that a ParseError keeps its
+    wording and line number.
+    """
+    fh = _open_text(source)
+    with fh:
+        first = next(csv.reader(fh), None)
+        if first is None or [h.strip() for h in first] != RECORDING_HEADER:
+            return None
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is refused below, without the warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    # numpy gives a header-only file shape (0, 1)
+    return data if data.shape[1] == len(RECORDING_HEADER) else None
+
+
+def _csv_values(source) -> np.ndarray:
+    """The (n, 7) data rows of any source, parsed row by row."""
     # one flat buffer of doubles instead of a list per row: a 1 h
     # recording's rows as Python lists take several times its array size
     values = array.array("d")
@@ -86,7 +118,21 @@ def load_recording(source, device_id: str = "", session_id: str = "") -> ImuReco
             values.extend(map(float, row))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-    data = np.frombuffer(values, dtype=float).reshape(-1, 7)
+    return np.frombuffer(values, dtype=float).reshape(-1, 7)
+
+
+def load_recording(source, device_id: str = "", session_id: str = "") -> ImuRecording:
+    """Parse a recording CSV into an ImuRecording, preserving sample order.
+
+    A path or bytes source is parsed by numpy's C reader when it can be,
+    and otherwise reread row by row; an open stream, which cannot be
+    reread, is always parsed row by row. Both give the same array.
+    """
+    data = None
+    if isinstance(source, (str, Path, bytes)):
+        data = _loadtxt_values(source)
+    if data is None:
+        data = _csv_values(source)
     rec = ImuRecording(t=data[:, 0], accel=data[:, 1:4], gyro=data[:, 4:7],
                        device_id=device_id, session_id=session_id)
     rec.validate()
@@ -94,13 +140,15 @@ def load_recording(source, device_id: str = "", session_id: str = "") -> ImuReco
 
 
 def write_recording(rec: ImuRecording, path) -> None:
+    """Write a recording CSV; the bytes equal those of a ``csv.writer``
+    writing the ``repr`` of each value, rows ended by CRLF."""
+    data = np.column_stack((rec.t, rec.accel, rec.gyro)).astype(float, copy=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORDING_HEADER)
-        for i in range(len(rec.t)):
-            writer.writerow([repr(float(rec.t[i]))]
-                            + [repr(float(v)) for v in rec.accel[i]]
-                            + [repr(float(v)) for v in rec.gyro[i]])
+        fh.write(",".join(RECORDING_HEADER) + "\r\n")
+        # row blocks bound the Python floats alive at once
+        for start in range(0, len(data), WRITE_BLOCK_ROWS):
+            fh.writelines(",".join(map(repr, row)) + "\r\n"
+                          for row in data[start:start + WRITE_BLOCK_ROWS].tolist())
 
 
 def load_reference_events(source) -> list[GaitEvent]:
@@ -158,10 +206,13 @@ def lowpass_accel(rec: ImuRecording, cutoff: float = 17.0) -> ImuRecording:
     """Zero-phase second-order Butterworth low-pass on the accelerometer.
 
     The gyroscope passes through unchanged. Edges are reflect-padded by
-    filtfilt before the forward-backward pass.
+    filtfilt before the forward-backward pass, so at least 10 samples are
+    needed.
     """
     if rec.sample_rate is None:
         raise ContractError("recording must be uniformly sampled before filtering")
+    if len(rec.t) < 10:
+        raise InsufficientDataError("low-pass filtering needs at least 10 samples")
     nyq = rec.sample_rate / 2.0
     if cutoff >= nyq:
         raise ConfigurationError(f"cutoff {cutoff} Hz >= Nyquist {nyq} Hz")

@@ -19,37 +19,34 @@ def madgwick_batch(accel, gyro, dt, beta, q0):
 
     The recursion is inherently sequential, so it runs one sample at a
     time on Python floats, which is several times faster than on numpy
-    scalars. Samples are read through a memoryview of one (n, 6) array
-    and written through a memoryview of the output, which keeps no
-    per-sample Python objects alive.
+    scalars. The accelerometer is normalised beforehand in numpy, with
+    the operations of the scalar formula in the same order, so each value
+    is the same double. Samples are read by zipping memoryviews of the
+    columns and written through a memoryview of the output, which keeps
+    no per-sample Python objects alive.
     """
-    samples = np.hstack((accel, gyro))
-    n = samples.shape[0]
-    out = np.empty((n, 4))
-    src = memoryview(samples.reshape(-1))
+    accel = np.asarray(accel, dtype=float)
+    gyro = np.asarray(gyro, dtype=float)
+    a0, a1, a2 = accel.T
+    anorm = np.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+    has_gravity = anorm > 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # read only where has_gravity is True
+        columns = [a0 / anorm, a1 / anorm, a2 / anorm, *gyro.T, has_gravity]
+    out = np.empty((accel.shape[0], 4))
     dst = memoryview(out.reshape(-1))
     dt = float(dt)
     beta = float(beta)
     w, x, y, z = (float(v) for v in q0)
-    for i in range(n):
-        k = 6 * i
-        ax = src[k]
-        ay = src[k + 1]
-        az = src[k + 2]
-        gx = src[k + 3]
-        gy = src[k + 4]
-        gz = src[k + 5]
+    k = 0
+    for ax, ay, az, gx, gy, gz, normalised in zip(*map(memoryview, columns)):
         # quaternion rate from gyroscope
         qdw = 0.5 * (-x * gx - y * gy - z * gz)
         qdx = 0.5 * (w * gx + y * gz - z * gy)
         qdy = 0.5 * (w * gy - x * gz + z * gx)
         qdz = 0.5 * (w * gz + x * gy - y * gx)
 
-        anorm = math.sqrt(ax * ax + ay * ay + az * az)
-        if anorm > 1e-12:
-            ax /= anorm
-            ay /= anorm
-            az /= anorm
+        if normalised:
             # gradient of the gravity-alignment objective
             f1 = 2.0 * (x * z - w * y) - ax
             f2 = 2.0 * (w * x + y * z) - ay
@@ -74,11 +71,11 @@ def madgwick_batch(accel, gyro, dt, beta, q0):
         x /= qn
         y /= qn
         z /= qn
-        k = 4 * i
         dst[k] = w
         dst[k + 1] = x
         dst[k + 2] = y
         dst[k + 3] = z
+        k += 4
     return out
 
 

@@ -102,6 +102,17 @@ class TestWorkflow:
         assert run(["process", tmp_path / "nope.csv"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_six_sample_recording_exit_1(self, tmp_path, capsys):
+        # too short for the accelerometer low-pass, which needs 10 samples
+        recording = tmp_path / "short.csv"
+        rows = [f"{i / 50.0!r},0.1,0.2,9.81,0.01,0.02,0.03" for i in range(6)]
+        recording.write_text("t,ax,ay,az,gx,gy,gz\n" + "\n".join(rows) + "\n")
+        assert run(["process", recording,
+                    "--out-events", tmp_path / "e.json",
+                    "--out-segments", tmp_path / "s.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "10 samples" in err
+
 
 class TestSynthCommand:
     def test_config_file_with_script(self, tmp_path):

@@ -102,6 +102,23 @@ class TestToAnatomical:
         rel = np.sqrt(np.mean((ap1 - ap0) ** 2)) / np.sqrt(np.mean(ap0 ** 2))
         assert rel < 0.01
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 16385, 24577, 40000])
+    def test_equals_single_product(self, n, order):
+        rng = np.random.default_rng(n)
+        # a general rotation has no zero entries, so a product that sums
+        # in another order or with other roundings gives other bits
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        frames = [frame.estimate_frame(horizontal_oscillation([0.6, 0.8]), FS),
+                  frame.AnatomicalFrame(*q)]
+        x = np.asarray(rng.normal(0, 4.0, (n, 3)), order=order)
+        # a column view of a wider array, as the pipeline's bouts are
+        view = rng.normal(0, 4.0, (n, 7))[:, 2:5]
+        for fr in frames:
+            for samples in (x, view):
+                assert np.array_equal(frame.to_anatomical(samples, fr),
+                                      samples @ fr.rotation.T)
+
     def test_norm_preserved(self):
         fr = frame.estimate_frame(horizontal_oscillation([0.6, 0.8]), FS)
         rng = np.random.default_rng(2)

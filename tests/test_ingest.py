@@ -1,4 +1,7 @@
+import csv
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +70,141 @@ class TestLoadRecording:
     def test_empty_file(self):
         with pytest.raises(ParseError):
             ingest.load_recording(b"")
+
+
+HEADER = "t,ax,ay,az,gx,gy,gz"
+ROW_A = "0,0.1,0.2,9.81,0.01,0.02,0.03"
+ROW_B = "0.02,0.2,-0.1,9.79,0.0,-0.02,0.01"
+ROW_C = "0.04,1e-3,2.5E1,-9.8,+.5,5.,-0"
+
+# Edge cases of the recording CSV; load_recording must treat each one
+# exactly as the row-by-row csv_rows parse does.
+LOADER_CORPUS = {
+    "plain": f"{HEADER}\n{ROW_A}\n{ROW_B}\n{ROW_C}\n",
+    "crlf": f"{HEADER}\r\n{ROW_A}\r\n{ROW_B}\r\n",
+    "mixed_line_ends": f"{HEADER}\r\n{ROW_A}\n{ROW_B}\r\n",
+    "cr_only": f"{HEADER}\r{ROW_A}\r{ROW_B}\r",
+    "no_final_newline": f"{HEADER}\n{ROW_A}\n{ROW_B}",
+    "single_row": f"{HEADER}\n{ROW_A}\n",
+    "header_only": f"{HEADER}\n",
+    "header_only_blank_lines": f"{HEADER}\r\n\r\n\n",
+    "empty": "",
+    "bad_header": "time,ax,ay,az,gx,gy,gz\n0,0,0,9.81,0,0,0\n",
+    "spaced_header": " t , ax,ay,az,gx,gy, gz \n" + ROW_A + "\n",
+    "bom": "\ufeff" + f"{HEADER}\n{ROW_A}\n",
+    "quoted_field": f'{HEADER}\n"0",0.1,0.2,9.81,0.01,0.02,0.03\n{ROW_B}\n',
+    "spaces_in_fields": f"{HEADER}\n 0 , 0.1,0.2 ,9.81,0.01,0.02,0.03\n{ROW_B}\n",
+    "unicode_space": f"{HEADER}\n0\u00a0,0.1,0.2,9.81,0.01,0.02,0.03\n",
+    "underscore_digits": f"{HEADER}\n0,1_0,0.2,9.81,0.01,0.02,0.03\n",
+    "hash_line": f"{HEADER}\n{ROW_A}\n# note\n{ROW_B}\n",
+    "hash_in_field": f"{HEADER}\n{ROW_A}#x\n",
+    "blank_lines": f"{HEADER}\n\n{ROW_A}\n\n\n{ROW_B}\n\n",
+    "whitespace_line": f"{HEADER}\n{ROW_A}\n   \n{ROW_B}\n",
+    "tab_line": f"{HEADER}\n{ROW_A}\n\t\n{ROW_B}\n",
+    "trailing_comma": f"{HEADER}\n{ROW_A},\n{ROW_B},\n",
+    "six_fields": f"{HEADER}\n0,0.1,0.2,9.81,0.01,0.02\n",
+    "ragged": f"{HEADER}\n{ROW_A}\n0.02,0.1,0.2,9.81,0.01,0.02\n",
+    "empty_field": f"{HEADER}\n0,,0.2,9.81,0.01,0.02,0.03\n",
+    "nan": f"{HEADER}\n{ROW_A}\n0.02,nan,0.2,9.81,0.01,0.02,0.03\n",
+    "infinity": f"{HEADER}\n{ROW_A}\n0.02,0.1,Infinity,9.81,0.01,0.02,0.03\n",
+    "nul": f"{HEADER}\n{ROW_A}\x00\n{ROW_B}\n",
+    "non_increasing_t": f"{HEADER}\n{ROW_B}\n{ROW_A}\n",
+}
+
+
+def row_by_row(text):
+    """The csv_rows parse: an open stream cannot be reread, so
+    load_recording always parses it row by row."""
+    return ingest.load_recording(io.StringIO(text, newline=""))
+
+
+def outcome(load, source):
+    try:
+        rec = load(source)
+    except Exception as exc:   # noqa: BLE001 - the outcome under comparison
+        return type(exc), str(exc)
+    return np.column_stack((rec.t, rec.accel, rec.gyro))
+
+
+def same_outcome(a, b):
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
+
+
+class TestLoaderPaths:
+    @pytest.mark.parametrize("name", sorted(LOADER_CORPUS))
+    def test_equals_row_by_row_parse(self, name, tmp_path):
+        text = LOADER_CORPUS[name]
+        expected = outcome(row_by_row, text)
+        path = tmp_path / "rec.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for source in (text.encode("utf-8"), path, str(path)):
+            assert same_outcome(outcome(ingest.load_recording, source), expected)
+
+    def test_header_only_warns_nothing(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text(HEADER + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rec = ingest.load_recording(path)
+        assert caught == []
+        assert rec.accel.shape == (0, 3)
+
+    def test_parse_error_keeps_line_number(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        rows = [f"{i / 50.0!r},0,0,9.81,0,0,0" for i in range(2000)]
+        rows[1500] = "30.0,0,0,oops,0,0,0"
+        path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match="line 1502:"):
+            ingest.load_recording(path)
+
+    def test_written_recording_takes_numpy_path(self, tmp_path):
+        n = 500
+        rng = np.random.default_rng(2)
+        rec = make_rec(np.arange(n) / 50.0, accel=rng.normal(size=(n, 3)),
+                       gyro=rng.normal(size=(n, 3)))
+        path = tmp_path / "rec.csv"
+        ingest.write_recording(rec, path)
+        data = ingest._loadtxt_values(path)
+        assert data is not None
+        with open(path, newline="") as fh:
+            assert same_outcome(outcome(ingest.load_recording, fh),
+                                outcome(ingest.load_recording, path))
+
+
+def csv_writer_reference(rec, path):
+    """write_recording as one csv.writer row per sample."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ingest.RECORDING_HEADER)
+        for i in range(len(rec.t)):
+            writer.writerow([repr(float(rec.t[i]))]
+                            + [repr(float(v)) for v in rec.accel[i]]
+                            + [repr(float(v)) for v in rec.gyro[i]])
+
+
+class TestWriteRecording:
+    @pytest.mark.parametrize("n", [0, 1, ingest.WRITE_BLOCK_ROWS + 3])
+    def test_bytes_equal_csv_writer(self, n, tmp_path):
+        rng = np.random.default_rng(n)
+        values = rng.normal(0, 3.0, (n, 7)) * 10.0 ** rng.integers(-5, 6, (n, 7))
+        specials = np.array([-0.0, 1e-300, 1e300, 3.0, -12.0, 5e-324, 0.1])
+        mask = rng.random((n, 7)) < 0.3
+        values[mask] = rng.choice(specials, mask.sum())
+        rec = make_rec(np.arange(n) / 50.0, accel=values[:, 1:4], gyro=values[:, 4:7])
+        got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+        ingest.write_recording(rec, got)
+        csv_writer_reference(rec, expected)
+        assert got.read_bytes() == expected.read_bytes()
+
+    def test_integer_arrays_written_as_floats(self, tmp_path):
+        rec = ImuRecording(t=np.arange(3), accel=np.ones((3, 3), dtype=int),
+                           gyro=np.zeros((3, 3), dtype=int))
+        got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+        ingest.write_recording(rec, got)
+        csv_writer_reference(rec, expected)
+        assert got.read_bytes() == expected.read_bytes()
 
 
 class TestReferenceEvents:
@@ -213,6 +351,12 @@ class TestLowpass:
         per_column = np.column_stack([filtfilt(b, a, accel[:, k], padtype="even")
                                       for k in range(3)])
         assert np.array_equal(out.accel, per_column)
+
+    @pytest.mark.parametrize("n", [2, 6, 9])
+    def test_fewer_than_10_samples_rejected(self, n):
+        t = np.arange(n) / 50.0
+        with pytest.raises(InsufficientDataError, match="10 samples"):
+            ingest.lowpass_accel(make_rec(t, rate=50.0), 17.0)
 
     def test_cutoff_at_nyquist_rejected(self):
         # Nyquist 15 Hz, below the 17 Hz cutoff, and exactly 17 Hz

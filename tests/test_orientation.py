@@ -121,12 +121,26 @@ class TestMadgwickBatch:
         rng = np.random.default_rng(4)
         n = 3000
         accel = rng.normal(0, 2.0, (n, 3)) + [1.0, -3.0, G]
-        accel[rng.choice(n, 40, replace=False)] = 0.0   # anorm below 1e-12
+        rows = rng.permutation(n)
+        accel[rows[:40]] = 0.0   # anorm below 1e-12
+        accel[rows[40:80]] = rng.normal(0, 1e-13, (40, 3))   # and nonzero
+        # squares underflow to 0, so anorm is 0 too
+        accel[rows[80:120]] = rng.normal(0, 1e-310, (40, 3))
+        # squares near 1e300, still finite
+        accel[rows[120:160]] = rng.normal(0, 1e150, (40, 3))
         gyro = rng.normal(0, 0.8, (n, 3))
         q0 = orientation.initial_tilt(accel[1])
         for dt, beta in ((0.02, 0.041), (0.01, 0.5)):
             got = kernels.madgwick_batch(accel, gyro, dt, beta, q0)
             assert np.array_equal(got, reference_madgwick(accel, gyro, dt, beta, q0))
+        # no gravity and subnormal rates from a start with two zero parts:
+        # those parts become subnormal, where halving a rate or a product
+        # is inexact
+        accel = np.zeros((200, 3))
+        gyro = rng.normal(0, 1e-310, (200, 3))
+        q0 = np.array([0.6, 0.8, 0.0, 0.0])
+        got = kernels.madgwick_batch(accel, gyro, 0.02, 0.041, q0)
+        assert np.array_equal(got, reference_madgwick(accel, gyro, 0.02, 0.041, q0))
 
 
 class TestQuatToMatrix:
