@@ -1,5 +1,6 @@
 """Timings of the hot kernels: the CSV load, the Madgwick loop, the
-anatomical rotation and the MCMC chain.
+anatomical rotation and the MCMC chain, and the peak memory of one
+``process_recording`` call.
 
 Run with:  python3 benchmarks/bench_kernels.py
 
@@ -7,16 +8,20 @@ The load, Madgwick and rotation are timed at the size of a 1 h recording
 at 50 Hz (180,000 samples). The rotation input is F-ordered, as the
 bouts of a gravity-aligned recording are. The chain is timed at the
 shape of acceptance criterion 7: 60 subjects x 10 observations, two
-chains advanced together.
+chains advanced together. The memory figure is the peak of the
+allocations ``tracemalloc`` sees (numpy arrays included) while
+``process_recording`` runs on a 1 h ``synth`` walk, i.e. MB per hour of
+recording.
 """
 import math
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from gaitpipe import factors, frame, ingest, kernels
+from gaitpipe import factors, frame, ingest, kernels, pipeline, synth
 from gaitpipe.core import ImuRecording
 
 
@@ -52,6 +57,15 @@ def main():
                                  medio_lateral=np.array([0.0, -0.8, 0.6]))
     rot = best_of(frame.to_anatomical, samples, anat)
     print(f"to_anatomical ({n} samples):  {rot * 1e3:9.1f} ms")
+
+    walk, _, _, _ = synth.generate(synth.SynthConfig(
+        duration_s=n / 50.0, noise_sigma=0.3,
+        sensor_rotation=np.array([0.8, 0.2, -0.4, 0.4])))
+    tracemalloc.start()
+    pipeline.process_recording(walk)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(f"process_recording ({n} samples): {peak / 1e6:9.1f} MB peak traced")
 
     obs, _ = factors.simulate_dataset(n_subjects=60, obs_per_subject=10,
                                       seed=100)

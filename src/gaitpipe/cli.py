@@ -119,16 +119,16 @@ def _synth_config_from_json(doc: dict) -> synth.SynthConfig:
     if unknown:
         raise GaitPipeError(f"unknown synth config keys: {sorted(unknown)}")
     kwargs = dict(doc)
-    if "sensor_rotation" in kwargs:
-        q = np.asarray(kwargs["sensor_rotation"], dtype=float)
-        kwargs["sensor_rotation"] = q / np.linalg.norm(q)
     if "script" in kwargs and kwargs["script"] is not None:
         kwargs["script"] = [
             synth.Phase(kind=p["kind"], duration_s=float(p["duration_s"]),
                         angle_deg=float(p.get("angle_deg", 0.0)))
             for p in kwargs["script"]
         ]
-    return synth.SynthConfig(**kwargs)
+    cfg = synth.SynthConfig(**kwargs)
+    cfg.validate()
+    cfg.sensor_rotation = np.divide(cfg.sensor_rotation, np.linalg.norm(cfg.sensor_rotation))
+    return cfg
 
 
 def cmd_synth(args) -> int:

@@ -9,11 +9,6 @@ from .core import AmbiguousDirectionError, InsufficientDataError
 from .segmentation import SegmentationConfig, dominant_stride_peak
 
 EIGENVALUE_RATIO_MIN = 1.2
-# Rows per block in to_anatomical. On a long (N, 3) @ (3, 3) product
-# OpenBLAS takes its multi-threaded dgemm path, whose overhead dwarfs the
-# k = 3 arithmetic: a 1 h bout took ~70 ms per call, against ~1 ms with
-# OpenBLAS held to one thread and ~0.5 ms in blocks of this size.
-ROTATE_BLOCK_ROWS = 8192
 
 
 @dataclass
@@ -61,24 +56,10 @@ def estimate_frame(accel_aligned: np.ndarray, fs: float,
 def to_anatomical(samples: np.ndarray, frame: AnatomicalFrame) -> np.ndarray:
     """Express (N, 3) gravity-frame samples in (V, AP, ML) coordinates.
 
-    The product is taken over row blocks; each row gets the same bits as
-    from one ``samples @ frame.rotation.T``.
+    The frame's vertical row is (1, 0, 0), so column 0 of the result
+    equals column 0 of ``samples``.
     """
-    samples = np.asarray(samples, dtype=float)
-    rotation_t = frame.rotation.T
-    n = len(samples)
-    out = np.empty((n, 3))
-    start = 0
-    while start < n:
-        stop = start + ROTATE_BLOCK_ROWS
-        if stop + 1 >= n:
-            # the last block takes a lone trailing row: a one-row product
-            # goes through numpy's vector-matrix path, which rounds
-            # differently from the matrix product
-            stop = n
-        np.matmul(samples[start:stop], rotation_t, out=out[start:stop])
-        start = stop
-    return out
+    return np.asarray(samples, dtype=float) @ frame.rotation.T
 
 
 def verify_frame(ap_autocorr: np.ndarray, fs: float,

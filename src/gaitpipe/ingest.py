@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import array
 import csv
+import dataclasses
 import io
 import math
 import warnings
@@ -189,15 +190,15 @@ def resample(rec: ImuRecording, target_rate: float) -> ImuRecording:
 
 
 def ensure_uniform(rec: ImuRecording, target_rate: float | None = None) -> ImuRecording:
-    """Return a uniformly sampled recording, resampling when necessary."""
+    """Return a uniformly sampled recording, resampling when necessary;
+    ``rec`` itself is never modified."""
     if target_rate is not None:
         return resample(rec, target_rate)
     if rec.sample_rate is not None:
         return rec
     dt = np.diff(rec.t)
     if len(dt) and np.max(np.abs(dt - dt[0])) <= 1e-9:
-        rec.sample_rate = float(1.0 / dt[0])
-        return rec
+        return dataclasses.replace(rec, sample_rate=float(1.0 / dt[0]))
     rate = 1.0 / float(np.median(dt))
     return resample(rec, rate)
 
@@ -217,6 +218,6 @@ def lowpass_accel(rec: ImuRecording, cutoff: float = 17.0) -> ImuRecording:
     if cutoff >= nyq:
         raise ConfigurationError(f"cutoff {cutoff} Hz >= Nyquist {nyq} Hz")
     accel = lowpass(rec.accel, cutoff, rec.sample_rate, padtype="even")
-    return ImuRecording(t=rec.t.copy(), accel=accel, gyro=rec.gyro.copy(),
+    return ImuRecording(t=rec.t, accel=accel, gyro=rec.gyro,
                         sample_rate=rec.sample_rate,
                         device_id=rec.device_id, session_id=rec.session_id)

@@ -43,16 +43,16 @@ def align_with_gravity(rec: ImuRecording, quats: np.ndarray) -> GravityAlignedRe
     """Rotate samples into the gravity frame; axis order (vertical, h1, h2)."""
     if len(quats) != len(rec.t):
         raise ContractError("orientation sequence length mismatch")
-    # rows of R(q) give earth-frame components of the sensor basis;
-    # vertical-up first, then the two horizontal axes
-    R = quat_to_matrix(quats)[:, [2, 0, 1]]
+    # rows of R(q) give earth-frame components of the sensor basis; rot
+    # reorders them to vertical-up first, then the two horizontal axes
+    R = quat_to_matrix(quats)
 
     def rot(v):
         return (R[..., 0] * v[:, None, 0] + R[..., 1] * v[:, None, 1]
-                + R[..., 2] * v[:, None, 2])
+                + R[..., 2] * v[:, None, 2])[:, [2, 0, 1]]
 
     return GravityAlignedRecording(
-        t=rec.t.copy(),
+        t=rec.t,
         accel=rot(rec.accel),
         gyro=rot(rec.gyro),
         sample_rate=float(rec.sample_rate),

@@ -106,18 +106,17 @@ def process_recording(rec: ImuRecording,
     all_events: list[GaitEvent] = []
     for bout in bouts:
         accel = aligned.accel[bout.samples]
-        gyro = aligned.gyro[bout.samples]
         try:
             anat_frame = frame_mod.estimate_frame(accel, fs, config)
             accel_an = frame_mod.to_anatomical(accel, anat_frame)
-            gyro_an = frame_mod.to_anatomical(gyro, anat_frame)
             ap_autocorr = segmentation.stride_autocorr(accel_an[:, 1], fs, config)
             if not frame_mod.verify_frame(ap_autocorr, fs, config):
                 results.append(BoutResult(bout.start_s, bout.end_s, [],
                                           "frame verification failed"))
                 continue
             # the frame keeps the aligned vertical axis, so accel_an[:, 0]
-            # is the signal of the bout's vertical stride analysis
+            # is the signal of the bout's vertical stride analysis and the
+            # aligned gyro's column 0 is the anatomical vertical rate
             stride = stepdetect.estimate_stride_duration(bout.peak)
             params = stepdetect.estimate_wavelet_params(
                 accel_an, fs, stride, bout.vertical_autocorr, ap_autocorr)
@@ -129,8 +128,8 @@ def process_recording(rec: ImuRecording,
                 params.sign = config.wavelet_sign
             events = stepdetect.detect_events(accel_an, fs, params,
                                               t0=bout.start_s)
-            events = stepdetect.assign_laterality(events, gyro_an, fs,
-                                                  t0=bout.start_s)
+            events = stepdetect.assign_laterality(events, aligned.gyro[bout.samples],
+                                                  fs, t0=bout.start_s)
             events = stepdetect.quality_check(events, stride)
         except (InsufficientDataError, AmbiguousDirectionError) as exc:
             results.append(BoutResult(bout.start_s, bout.end_s, [], str(exc)))

@@ -9,7 +9,8 @@ Heading rotation during scripted turns is applied to the gyroscope only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,6 +62,17 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        values = [getattr(self, f.name) for f in fields(self)]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ConfigurationError("synth config values must be finite")
+        try:
+            q = np.asarray(self.sensor_rotation, dtype=float)
+        except (TypeError, ValueError):
+            q = np.empty(0)
+        norm = np.linalg.norm(q) if q.shape == (4,) else 0.0
+        if not (np.isfinite(norm) and norm > 0):
+            raise ConfigurationError(
+                "sensor_rotation must be 4 finite values with a finite, non-zero norm")
         if not 0.4 <= self.stride_s <= 2.25:
             raise ConfigurationError("stride_s outside [0.4, 2.25] s")
         if not 0.0 < self.fc_phase < 0.25 * 1.5:
@@ -76,6 +88,8 @@ class SynthConfig:
             for p in self.script:
                 if p.kind not in ("walk", "rest", "turn"):
                     raise ConfigurationError(f"unknown phase kind {p.kind!r}")
+                if not (math.isfinite(p.duration_s) and math.isfinite(p.angle_deg)):
+                    raise ConfigurationError("phase values must be finite")
                 if p.duration_s <= 0:
                     raise ConfigurationError("phase durations must be positive")
 

@@ -138,6 +138,21 @@ class TestSynthCommand:
                     "--out-segments", tmp_path / "s.json"]) == 1
         assert "cadence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        '{"sensor_rotation": [0, 0, 0, 0]}',
+        '{"duration_s": NaN}',
+        '{"sensor_rotation": [1, 0, 0]}',
+    ], ids=["zero-rotation", "nan-duration", "three-element-rotation"])
+    def test_bad_synth_config_exit_1(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(doc)
+        out = tmp_path / "r.csv"
+        assert run(["synth", "--config", cfg, "--out-recording", out,
+                    "--out-events", tmp_path / "e.csv",
+                    "--out-segments", tmp_path / "s.json"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_seed_flag_overrides_config(self, tmp_path):
         recs = []
         for seed in (1, 2):

@@ -118,6 +118,12 @@ class TestToAnatomical:
             for samples in (x, view):
                 assert np.array_equal(frame.to_anatomical(samples, fr),
                                       samples @ fr.rotation.T)
+        # an estimated frame keeps the vertical axis, so column 0 passes
+        # through unchanged; the pipeline reads the aligned gyro's column 0
+        # for laterality instead of rotating the gyro
+        for samples in (x, view):
+            assert np.array_equal(frame.to_anatomical(samples, frames[0])[:, 0],
+                                  samples[:, 0])
 
     def test_norm_preserved(self):
         fr = frame.estimate_frame(horizontal_oscillation([0.6, 0.8]), FS)

@@ -372,6 +372,9 @@ class TestEnsureUniform:
         rec = make_rec(t)
         out = ingest.ensure_uniform(rec)
         assert out.sample_rate == pytest.approx(50.0)
+        # a new recording on the same arrays; the caller's is left as it was
+        assert rec.sample_rate is None
+        assert out.t is rec.t and out.accel is rec.accel and out.gyro is rec.gyro
 
     def test_resamples_irregular(self):
         rng = np.random.default_rng(5)

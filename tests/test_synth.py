@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,25 @@ class TestConfig:
     def test_fc_phase_gate(self):
         with pytest.raises(ConfigurationError):
             synth.SynthConfig(fc_phase=0.4).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("duration_s", math.nan), ("sample_rate_hz", math.inf),
+        ("stride_s", math.nan), ("noise_sigma", -math.inf)])
+    def test_non_finite_refused(self, key, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            synth.SynthConfig(**{key: value}).validate()
+
+    def test_non_finite_phase_refused(self):
+        for phase in (Phase("walk", math.nan), Phase("turn", 5.0, math.inf)):
+            with pytest.raises(ConfigurationError, match="finite"):
+                synth.SynthConfig(duration_s=5.0, script=[phase]).validate()
+
+    @pytest.mark.parametrize("q", [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                   [1.0, math.nan, 0.0, 0.0], [1.0, 0.0, math.inf, 0.0],
+                                   [[1.0, 0.0], [0.0, 0.0]], "abcd"])
+    def test_bad_sensor_rotation_refused(self, q):
+        with pytest.raises(ConfigurationError, match="sensor_rotation"):
+            synth.SynthConfig(sensor_rotation=q).validate()
 
 
 class TestGenerate:
