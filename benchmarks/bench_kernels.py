@@ -1,6 +1,6 @@
 """Timings of the hot kernels: the CSV load, the Madgwick loop, the
-anatomical rotation and the MCMC chain, and the peak memory of one
-``process_recording`` call.
+anatomical rotation, the reference event load, the event matcher and
+the MCMC chain, and the peak memory of one ``process_recording`` call.
 
 Run with:  python3 benchmarks/bench_kernels.py
 
@@ -11,7 +11,11 @@ shape of acceptance criterion 7: 60 subjects x 10 observations, two
 chains advanced together. The memory figure is the peak of the
 allocations ``tracemalloc`` sees (numpy arrays included) while
 ``process_recording`` runs on a 1 h ``synth`` walk, i.e. MB per hour of
-recording.
+recording. The event load and the matcher, the two layers of
+``gaitpipe evaluate`` that grow with the event count, run on that
+walk's reference events: the load reads its reference CSV, and the
+matcher pairs each kind's reference times with the same times moved by
+20 ms Gaussian noise, as detections.
 """
 import math
 import tempfile
@@ -21,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from gaitpipe import factors, frame, ingest, kernels, pipeline, synth
-from gaitpipe.core import ImuRecording
+from gaitpipe import evaluate, factors, frame, ingest, kernels, pipeline, synth
+from gaitpipe.core import FC, IC, ImuRecording
 
 
 def best_of(fn, *args, repeats=3):
@@ -58,9 +62,23 @@ def main():
     rot = best_of(frame.to_anatomical, samples, anat)
     print(f"to_anatomical ({n} samples):  {rot * 1e3:9.1f} ms")
 
-    walk, _, _, _ = synth.generate(synth.SynthConfig(
+    walk, events, _, _ = synth.generate(synth.SynthConfig(
         duration_s=n / 50.0, noise_sigma=0.3,
         sensor_rotation=np.array([0.8, 0.2, -0.4, 0.4])))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "reference.csv"
+        ingest.write_reference_events(events, path)
+        load_ev = best_of(ingest.load_reference_events, path)
+    print(f"load_reference_events ({len(events)} rows): {load_ev * 1e3:9.1f} ms")
+
+    pairs = []
+    for kind in (IC, FC):
+        ref = [e.time_s for e in events if e.kind == kind]
+        det = sorted(t + rng.normal(0, 0.02) for t in ref)
+        pairs.append((det, ref))
+    match = best_of(lambda: [evaluate.match_events(det, ref) for det, ref in pairs])
+    print(f"match_events (IC and FC, {len(events)} references): {match * 1e3:9.1f} ms")
+
     tracemalloc.start()
     pipeline.process_recording(walk)
     peak = tracemalloc.get_traced_memory()[1]

@@ -11,12 +11,13 @@ import os
 import sys
 import tempfile
 from dataclasses import fields
+from operator import attrgetter
 
 import numpy as np
 
 from . import factors as factors_mod
 from . import ingest, pipeline, synth
-from .core import FC, IC, GaitPipeError
+from .core import FC, IC, ConfigurationError, GaitPipeError
 from .evaluate import (
     DEFAULT_WINDOW_S,
     compute_metrics,
@@ -64,15 +65,26 @@ def cmd_process(args) -> int:
     return 0
 
 
+def _times_by_kind(kind_times) -> dict[str, list[float]]:
+    """The sorted times of each kind, from (kind, time) pairs in one pass."""
+    times: dict[str, list[float]] = {IC: [], FC: []}
+    for kind, t in kind_times:
+        times[kind].append(t)
+    for t in times.values():
+        t.sort()
+    return times
+
+
 def cmd_evaluate(args) -> int:
     with open(args.events, "r", encoding="utf-8") as fh:
-        detected = pipeline.events_from_json(json.load(fh))
+        det_times, det_kinds, _ = pipeline.event_columns_from_json(json.load(fh))
     reference = ingest.load_reference_events(args.reference)
+    det_times = _times_by_kind(zip(det_kinds, det_times))
+    ref_times = _times_by_kind(map(attrgetter("kind", "time_s"), reference))
     out = {"window_s": args.window, "participant": args.participant}
     for kind in (IC, FC):
-        det = sorted(e.time_s for e in detected if e.kind == kind)
-        ref = sorted(e.time_s for e in reference if e.kind == kind)
-        report = match_events(det, ref, window_s=args.window, kind=kind)
+        report = match_events(det_times[kind], ref_times[kind],
+                              window_s=args.window, kind=kind)
         metrics = compute_metrics(report)
         errors = temporal_errors(report) if report.tp else None
         out[kind] = metrics_to_json(kind, metrics, errors)
@@ -114,17 +126,26 @@ def cmd_aggregate(args) -> int:
     return 0
 
 
+def _phase_from_json(i: int, p) -> synth.Phase:
+    if not (isinstance(p, dict) and "kind" in p and "duration_s" in p):
+        raise ConfigurationError(f"script phase {i}: needs a kind and a duration_s")
+    try:
+        return synth.Phase(kind=p["kind"], duration_s=float(p["duration_s"]),
+                           angle_deg=float(p.get("angle_deg", 0.0)))
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"script phase {i}: duration_s and angle_deg must be numbers") from None
+
+
 def _synth_config_from_json(doc: dict) -> synth.SynthConfig:
     unknown = set(doc) - {f.name for f in fields(synth.SynthConfig)}
     if unknown:
         raise GaitPipeError(f"unknown synth config keys: {sorted(unknown)}")
     kwargs = dict(doc)
-    if "script" in kwargs and kwargs["script"] is not None:
-        kwargs["script"] = [
-            synth.Phase(kind=p["kind"], duration_s=float(p["duration_s"]),
-                        angle_deg=float(p.get("angle_deg", 0.0)))
-            for p in kwargs["script"]
-        ]
+    if kwargs.get("script") is not None:
+        if not isinstance(kwargs["script"], list):
+            raise ConfigurationError("script must be a list of phases")
+        kwargs["script"] = [_phase_from_json(i, p) for i, p in enumerate(kwargs["script"])]
     cfg = synth.SynthConfig(**kwargs)
     cfg.validate()
     cfg.sensor_rotation = np.divide(cfg.sensor_rotation, np.linalg.norm(cfg.sensor_rotation))

@@ -2,6 +2,7 @@
 zero-phase low-pass filter."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,6 +159,29 @@ class GaitEvent:
 
     def to_json(self) -> dict:
         return {"time_s": self.time_s, "kind": self.kind, "side": self.side}
+
+
+EVENT_KINDS = (IC, FC)
+EVENT_SIDES = (SIDE_LEFT, SIDE_RIGHT, SIDE_UNKNOWN)
+
+
+def event_columns(times: list, kinds: list,
+                  sides: list) -> tuple[list[float], list, list] | None:
+    """The time, kind and side columns of a list of events, with each
+    time parsed by ``float``; None when a time is not a finite number or
+    a kind or side lies outside EVENT_KINDS or EVENT_SIDES.
+
+    Each check runs once over its whole column, so a reader calls this
+    first and reads its input again one event at a time only on None,
+    to name the first bad one.
+    """
+    try:
+        times = list(map(float, times))
+        valid = (all(map(math.isfinite, times))
+                 and set(kinds) <= set(EVENT_KINDS) and set(sides) <= set(EVENT_SIDES))
+    except (TypeError, ValueError):     # a time that is no number; an unhashable kind
+        return None
+    return (times, kinds, sides) if valid else None
 
 
 # ---------------------------------------------------------------------------

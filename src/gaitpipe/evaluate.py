@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -79,36 +78,43 @@ def match_events(detected, reference, window_s: float = DEFAULT_WINDOW_S,
 
     References are processed in time order; the closest unconsumed
     detection within +/- window_s/2 becomes the true positive, with ties
-    going to the earlier detection. Times must be finite and sorted.
+    going to the earlier detection. Times must be finite and sorted, and
+    window_s positive and finite.
     """
-    detected = list(detected)
-    reference = list(reference)
-    if not all(map(math.isfinite, detected + reference)):
+    det = np.asarray(detected, dtype=float)
+    ref = np.asarray(reference, dtype=float)
+    if not (np.isfinite(det).all() and np.isfinite(ref).all()):
         raise ContractError("event times must be finite")
-    if detected != sorted(detected) or reference != sorted(reference):
+    if np.any(det[1:] < det[:-1]) or np.any(ref[1:] < ref[:-1]):
         raise ContractError("event lists must be sorted")
-    if window_s <= 0:
-        raise ContractError("window must be positive")
+    if not (math.isfinite(window_s) and window_s > 0):
+        raise ContractError("window must be positive and finite")
     half = window_s / 2.0
+    # d - r is monotone in d, so the detections with |d - r| <= half are
+    # the contiguous run starting at the first with d - r >= -half;
+    # searchsorted finds that start up to the rounding of r - half, and
+    # the two while loops below settle it by the exact predicate
+    starts = np.searchsorted(det, ref - half).tolist()
+    detected = det.tolist()
     n = len(detected)
     used = [False] * n
     report = MatchReport(kind=kind)
-    for r in reference:
-        # d - r is monotone in d, so the detections with |d - r| <= half
-        # are the contiguous run starting at the first with d - r >= -half
-        best = None
-        i = bisect_left(detected, -half, key=lambda d: d - r)
-        while i < n and detected[i] - r <= half:
-            if not used[i] and (best is None
-                                or abs(detected[i] - r) < abs(detected[best] - r)):
-                best = i
+    for r, i in zip(ref.tolist(), starts):
+        while i > 0 and detected[i - 1] - r >= -half:
+            i -= 1
+        while i < n and detected[i] - r < -half:
             i += 1
-        if best is None:
+        best, best_err = -1, math.inf
+        while i < n and detected[i] - r <= half:
+            if not used[i] and abs(detected[i] - r) < best_err:
+                best, best_err = i, abs(detected[i] - r)
+            i += 1
+        if best < 0:
             report.false_negatives.append(r)
         else:
             used[best] = True
             report.pairs.append((detected[best], r))
-    report.false_positives = [d for i, d in enumerate(detected) if not used[i]]
+    report.false_positives = [d for d, u in zip(detected, used) if not u]
     return report
 
 

@@ -10,6 +10,9 @@ import numpy as np
 from . import frame as frame_mod
 from . import ingest, orientation, segmentation, stepdetect
 from .core import (
+    EVENT_KINDS,
+    EVENT_SIDES,
+    SIDE_UNKNOWN,
     ConfigurationError,
     GaitEvent,
     ImuRecording,
@@ -17,6 +20,7 @@ from .core import (
     AmbiguousDirectionError,
     ParseError,
     Segment,
+    event_columns,
 )
 from .segmentation import SegmentationConfig
 
@@ -149,11 +153,38 @@ def segments_to_json(segments: list[Segment]) -> list[dict]:
     return [s.to_json() for s in segments]
 
 
-def events_from_json(doc: list[dict]) -> list[GaitEvent]:
-    """GaitEvents from a detections JSON list; a ``time_s`` that is
-    missing or not a finite number raises ParseError."""
-    events = []
+def events_from_json(doc) -> list[GaitEvent]:
+    """GaitEvents from a detections JSON list; see event_columns_from_json."""
+    return list(map(GaitEvent, *event_columns_from_json(doc)))
+
+
+def event_columns_from_json(doc) -> tuple[list[float], list[str], list[str]]:
+    """The time, kind and side columns of a detections JSON list of
+    objects, each with a finite number ``time_s``, a ``kind`` in
+    EVENT_KINDS and an optional ``side`` in EVENT_SIDES (default U).
+    Anything else raises ParseError, naming the index of the first bad
+    event."""
+    if not isinstance(doc, list):
+        raise ParseError(f"detections must be a JSON list of events, "
+                         f"got {type(doc).__name__}")
+    times, kinds, sides = [], [], []
+    try:
+        for d in doc:
+            times.append(d["time_s"])
+            kinds.append(d["kind"])
+            sides.append(d.get("side", SIDE_UNKNOWN))
+    except (KeyError, TypeError):      # a missing key; an entry that is no object
+        columns = None
+    else:
+        columns = event_columns(times, kinds, sides)
+    return columns if columns is not None else _event_columns_by_entry(doc)
+
+
+def _event_columns_by_entry(doc: list) -> tuple[list[float], list[str], list[str]]:
+    times, kinds, sides = [], [], []
     for i, d in enumerate(doc):
+        if not isinstance(d, dict):
+            raise ParseError(f"event {i}: must be an object, got {type(d).__name__}")
         raw = d.get("time_s")
         try:
             time_s = float(raw)
@@ -161,6 +192,13 @@ def events_from_json(doc: list[dict]) -> list[GaitEvent]:
             time_s = math.nan
         if not math.isfinite(time_s):
             raise ParseError(f"event {i}: time_s must be a finite number, got {raw!r}")
-        events.append(GaitEvent(time_s=time_s, kind=d["kind"],
-                                side=d.get("side", "U")))
-    return events
+        kind = d.get("kind")
+        if kind not in EVENT_KINDS:
+            raise ParseError(f"event {i}: kind must be IC or FC, got {kind!r}")
+        side = d.get("side", SIDE_UNKNOWN)
+        if side not in EVENT_SIDES:
+            raise ParseError(f"event {i}: side must be L, R, or U, got {side!r}")
+        times.append(time_s)
+        kinds.append(kind)
+        sides.append(side)
+    return times, kinds, sides

@@ -98,6 +98,35 @@ class TestWorkflow:
         assert "event 1: time_s must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ([{"time_s": 1.0}], "event 0: kind must be IC or FC, got None"),
+        ({"a": 1}, "detections must be a JSON list of events, got dict"),
+        ([1.0], "event 0: must be an object, got float"),
+        ([{"time_s": 1.0, "kind": "IC"}, {"time_s": 2.0, "kind": "XX"}],
+         "event 1: kind must be IC or FC, got 'XX'"),
+        ([{"time_s": 1.0, "kind": "IC", "side": "B"}],
+         "event 0: side must be L, R, or U, got 'B'"),
+    ], ids=["missing-kind", "not-a-list", "not-an-object", "bad-kind", "bad-side"])
+    def test_bad_detections_exit_1(self, tmp_path, capsys, doc, message):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("t,kind,side\n1.0,IC,L\n")
+        events = tmp_path / "events.json"
+        events.write_text(json.dumps(doc))
+        assert run(["evaluate", events, truth, "--out", tmp_path / "m.json"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("window", ["nan", "inf"])
+    def test_non_finite_window_exit_1(self, tmp_path, capsys, window):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("t,kind,side\n1.0,IC,L\n")
+        events = tmp_path / "events.json"
+        events.write_text(json.dumps([{"time_s": 1.0, "kind": "IC", "side": "L"}]))
+        assert run(["evaluate", events, truth, "--window", window,
+                    "--out", tmp_path / "m.json"]) == 1
+        assert capsys.readouterr().err == "error: window must be positive and finite\n"
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_recording_exit_1(self, tmp_path, capsys):
         assert run(["process", tmp_path / "nope.csv"]) == 1
         assert "error" in capsys.readouterr().err
@@ -151,6 +180,22 @@ class TestSynthCommand:
                     "--out-events", tmp_path / "e.csv",
                     "--out-segments", tmp_path / "s.json"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("script, message", [
+        ([{"kind": "walk"}], "script phase 0: needs a kind and a duration_s"),
+        ([{"kind": "rest", "duration_s": 4.0}, {"kind": "walk", "duration_s": "six"}],
+         "script phase 1: duration_s and angle_deg must be numbers"),
+        ({"kind": "walk"}, "script must be a list of phases"),
+    ], ids=["no-duration", "text-duration", "not-a-list"])
+    def test_bad_script_phase_exit_1(self, tmp_path, capsys, script, message):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({"duration_s": 10.0, "script": script}))
+        out = tmp_path / "r.csv"
+        assert run(["synth", "--config", cfg, "--out-recording", out,
+                    "--out-events", tmp_path / "e.csv",
+                    "--out-segments", tmp_path / "s.json"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):

@@ -67,8 +67,21 @@ class TestMatchEvents:
                 evaluate.match_events(det, ref)
 
     def test_nonpositive_window_rejected(self):
-        with pytest.raises(ContractError):
-            evaluate.match_events([1.0], [1.0], window_s=0.0)
+        for window_s in (0.0, -0.5, np.nan, np.inf):
+            with pytest.raises(ContractError, match="window"):
+                evaluate.match_events([1.0, 2.0], [1.0, 2.0], window_s=window_s)
+
+    def test_window_edge_decided_by_exact_difference(self):
+        # the window holds d when d - r >= -half, which can differ in the
+        # last bit from d >= r - half; the exact difference decides both ways
+        d, r = 0.02800000000000002, 0.278
+        assert d < r - 0.25 and d - r >= -0.25
+        rep = evaluate.match_events([d], [r], window_s=0.5)
+        assert rep.pairs == [(d, r)]
+        d, r = 4222.00925762524, 4222.10925762524
+        assert d >= r - 0.1 and d - r < -0.1
+        rep = evaluate.match_events([d], [r], window_s=0.2)
+        assert rep.pairs == [] and rep.false_positives == [d]
 
     def test_conservation(self):
         rng = np.random.default_rng(0)

@@ -11,6 +11,7 @@ from gaitpipe import ingest
 from gaitpipe.core import (
     ConfigurationError,
     ContractError,
+    GaitEvent,
     ImuRecording,
     InsufficientDataError,
     ParseError,
@@ -226,6 +227,53 @@ class TestReferenceEvents:
         csv = f"t,kind,side\n1.0,IC,L\n{value},IC,R\n".encode()
         with pytest.raises(ParseError, match="line 3"):
             ingest.load_reference_events(csv)
+
+    @pytest.mark.parametrize("text", [
+        "t,kind,side\n0.5,IC,L\n0.62,FC,R\n1.1,IC,U\n",
+        "",
+        "time,kind,side\n0.5,IC,L\n",
+        "t,kind,side\n0.5,IC,L\n0.62,FC\n",
+        "t,kind,side\n0.5,IC,L\n0.62,FC,R,1\n",
+        "t,kind,side\n0.5,IC,L,0.62\nFC,R\n",
+        "t,kind,side\n0.5,IC,L\n0.62,XX,R\n",
+        "t,kind,side\n0.5,IC,L\n0.62,FC,Q\n",
+        "t,kind,side\n0.5,IC,L\nnan,FC,R\n",
+        "t,kind,side\n0.5,IC,L\n-inf,FC,R\n",
+        "t,kind,side\n0.5,IC,L\nabc,FC,R\n",
+        "t,kind,side\n0.5,IC,L\n,FC,R\n",
+        "t,kind,side\n\n0.5,IC,L\n\n\n0.62,FC,R\n\n",
+        "t,kind,side\r\n0.5,IC,L\r\n0.62,FC,R\r\n",
+        "t,kind,side\r0.5,IC,L\r0.62,FC,R\r",
+        " t , kind , side \n 0.5 , IC , L \n0.62,FC ,R\n",
+        "t,kind,side\n0.5,IC,L\n0.62,FC,R\n0.7, XX,R\n",
+        "t,kind,side\n\"0.5\",\"IC\",L\n",
+    ], ids=["valid", "empty", "bad-header", "two-fields", "four-fields",
+            "fields-shifted-across-rows", "bad-kind", "bad-side", "nan-time",
+            "inf-time", "non-number-time", "empty-time", "blank-lines", "crlf",
+            "cr", "padded-fields", "padded-bad-kind", "quoted-fields"])
+    def test_bulk_reader_equals_row_loop(self, text):
+        # the row loop is the reference: same events, or the same
+        # ParseError text with the same line number
+        def outcome(read):
+            try:
+                return [(e.time_s, e.kind, e.side) for e in read(text.encode())]
+            except ParseError as exc:
+                return f"ParseError: {exc}"
+
+        expected = outcome(ingest._reference_events_by_row)
+        assert outcome(ingest.load_reference_events) == expected
+
+    def test_path_bytes_and_stream_sources_agree(self, tmp_path):
+        text = "t,kind,side\r\n0.5,IC,L\r\n\r\n0.62,FC,R\r\n"
+        path = tmp_path / "ref.csv"
+        path.write_bytes(text.encode())
+        with open(path, encoding="utf-8", newline="") as stream:
+            from_stream = ingest.load_reference_events(stream)
+            assert not stream.closed
+        assert (ingest.load_reference_events(path)
+                == ingest.load_reference_events(text.encode())
+                == from_stream
+                == [GaitEvent(0.5, "IC", "L"), GaitEvent(0.62, "FC", "R")])
 
 
 class TestResample:

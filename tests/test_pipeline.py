@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaitpipe import evaluate, pipeline, segmentation, stepdetect, synth
-from gaitpipe.core import ConfigurationError, ContractError, FC, IC, SegmentKind
+from gaitpipe.core import ConfigurationError, ContractError, FC, IC, ParseError, SegmentKind
 from gaitpipe.pipeline import PipelineConfig
 from gaitpipe.synth import Phase
 
@@ -187,3 +187,32 @@ class TestEventJson:
         back = pipeline.events_from_json(doc)
         assert [(e.time_s, e.kind, e.side) for e in back] \
             == [(e.time_s, e.kind, e.side) for e in result.events]
+
+    @pytest.mark.parametrize("doc", [
+        [{"time_s": 0.5, "kind": "IC", "side": "L"}, {"time_s": 0.6, "kind": "FC"}],
+        [],
+        [{"time_s": "0.5", "kind": "IC"}, {"time_s": True, "kind": "FC", "side": "R"}],
+        [{"time_s": 0.5, "kind": "IC"}, {"kind": "FC"}],
+        [{"time_s": 0.5, "kind": "IC"}, {"time_s": "x", "kind": "FC"}],
+        [{"time_s": 0.5, "kind": "IC"}, {"time_s": 1e400, "kind": "FC"}],
+        [{"time_s": 0.5, "kind": "IC"}, {"time_s": 0.6}],
+        [{"time_s": 0.5, "kind": ["IC"]}],
+        [{"time_s": 0.5, "kind": "FC", "side": "X"}],
+        [{"time_s": 0.5, "kind": "IC"}, [0.6, "FC"]],
+        {"time_s": 0.5, "kind": "IC"},
+    ], ids=["valid", "empty", "number-like-times", "missing-time", "text-time",
+            "inf-time", "missing-kind", "list-kind", "bad-side", "array-entry",
+            "not-a-list"])
+    def test_column_pass_equals_entry_loop(self, doc):
+        # the per-entry loop is the reference: same columns, or the same
+        # ParseError text naming the same event
+        def outcome(read):
+            try:
+                return read(doc)
+            except ParseError as exc:
+                return f"ParseError: {exc}"
+
+        expected = (outcome(pipeline._event_columns_by_entry)
+                    if isinstance(doc, list) else
+                    "ParseError: detections must be a JSON list of events, got dict")
+        assert outcome(pipeline.event_columns_from_json) == expected

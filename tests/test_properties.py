@@ -162,6 +162,39 @@ def test_matcher_pairs_equal_brute_force(case):
     assert rep.false_negatives == false_neg
 
 
+def nudge(x: float, ulps: int) -> float:
+    """x moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.inf if ulps > 0 else -np.inf)
+    return float(x)
+
+
+@st.composite
+def ulp_edge_matches(draw):
+    """(detected, reference, window_s) with every detection within a few
+    ulps of a window edge r - half or r + half. There the rounded bound
+    r - half and the rounded difference d - r can disagree about d."""
+    window_s = draw(st.floats(1e-3, 2.0))
+    half = window_s / 2.0
+    reference = sorted(draw(st.lists(st.floats(0.0, 5e3), min_size=1, max_size=8)))
+    edges = st.tuples(st.sampled_from(reference), st.sampled_from([-half, half]),
+                      st.integers(-3, 3))
+    detected = sorted(nudge(r + offset, ulps)
+                      for r, offset, ulps in draw(st.lists(edges, max_size=12)))
+    return detected, reference, window_s
+
+
+@settings(max_examples=300)
+@given(ulp_edge_matches())
+def test_matcher_window_edges_equal_brute_force(case):
+    detected, reference, window_s = case
+    rep = evaluate.match_events(detected, reference, window_s=window_s)
+    pairs, false_pos, false_neg = oracle_pairs(detected, reference, window_s)
+    assert rep.pairs == pairs
+    assert rep.false_positives == false_pos
+    assert rep.false_negatives == false_neg
+
+
 times = st.lists(st.floats(-1e4, 1e4), max_size=40).map(sorted)
 
 
