@@ -1,6 +1,6 @@
 """Timings of the hot kernels: the CSV load, the Madgwick loop, the
-anatomical rotation, the reference event load, the event matcher and
-the MCMC chain, and the peak memory of one ``process_recording`` call.
+anatomical rotation, the two event readers, the event matcher and the
+MCMC chain, and the peak memory of one ``process_recording`` call.
 
 Run with:  python3 benchmarks/bench_kernels.py
 
@@ -11,12 +11,13 @@ shape of acceptance criterion 7: 60 subjects x 10 observations, two
 chains advanced together. The memory figure is the peak of the
 allocations ``tracemalloc`` sees (numpy arrays included) while
 ``process_recording`` runs on a 1 h ``synth`` walk, i.e. MB per hour of
-recording. The event load and the matcher, the two layers of
-``gaitpipe evaluate`` that grow with the event count, run on that
-walk's reference events: the load reads its reference CSV, and the
-matcher pairs each kind's reference times with the same times moved by
-20 ms Gaussian noise, as detections.
+recording. The layers of ``gaitpipe evaluate`` that grow with the
+event count run on that walk: the reference load reads its reference
+CSV, the detections reader takes the loaded JSON document of its
+detected events, and the matcher pairs each kind's reference times with
+the same times moved by 20 ms Gaussian noise, as detections.
 """
+import json
 import math
 import tempfile
 import time
@@ -65,11 +66,22 @@ def main():
     walk, events, _, _ = synth.generate(synth.SynthConfig(
         duration_s=n / 50.0, noise_sigma=0.3,
         sensor_rotation=np.array([0.8, 0.2, -0.4, 0.4])))
+
+    tracemalloc.start()
+    detected = pipeline.process_recording(walk).events
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(f"process_recording ({n} samples): {peak / 1e6:9.1f} MB peak traced")
+
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "reference.csv"
         ingest.write_reference_events(events, path)
         load_ev = best_of(ingest.load_reference_events, path)
     print(f"load_reference_events ({len(events)} rows): {load_ev * 1e3:9.1f} ms")
+
+    doc = json.loads(json.dumps(pipeline.events_to_json(detected)))
+    load_det = best_of(pipeline.event_columns_from_json, doc)
+    print(f"event_columns_from_json ({len(doc)} events): {load_det * 1e3:9.1f} ms")
 
     pairs = []
     for kind in (IC, FC):
@@ -79,11 +91,6 @@ def main():
     match = best_of(lambda: [evaluate.match_events(det, ref) for det, ref in pairs])
     print(f"match_events (IC and FC, {len(events)} references): {match * 1e3:9.1f} ms")
 
-    tracemalloc.start()
-    pipeline.process_recording(walk)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    print(f"process_recording ({n} samples): {peak / 1e6:9.1f} MB peak traced")
 
     obs, _ = factors.simulate_dataset(n_subjects=60, obs_per_subject=10,
                                       seed=100)

@@ -13,8 +13,6 @@ import tempfile
 from dataclasses import fields
 from operator import attrgetter
 
-import numpy as np
-
 from . import factors as factors_mod
 from . import ingest, pipeline, synth
 from .core import FC, IC, ConfigurationError, GaitPipeError
@@ -51,8 +49,6 @@ def _load_config(path) -> PipelineConfig:
 def cmd_process(args) -> int:
     config = _load_config(args.config)
     rec = ingest.load_recording(args.recording)
-    if len(rec.t) < 2:
-        raise GaitPipeError("recording too short to process")
     result = pipeline.process_recording(rec, config)
     write_json_atomic(pipeline.events_to_json(result.events), args.out_events)
     write_json_atomic(pipeline.segments_to_json(result.segments), args.out_segments)
@@ -146,10 +142,7 @@ def _synth_config_from_json(doc: dict) -> synth.SynthConfig:
         if not isinstance(kwargs["script"], list):
             raise ConfigurationError("script must be a list of phases")
         kwargs["script"] = [_phase_from_json(i, p) for i, p in enumerate(kwargs["script"])]
-    cfg = synth.SynthConfig(**kwargs)
-    cfg.validate()
-    cfg.sensor_rotation = np.divide(cfg.sensor_rotation, np.linalg.norm(cfg.sensor_rotation))
-    return cfg
+    return synth.SynthConfig(**kwargs)
 
 
 def cmd_synth(args) -> int:

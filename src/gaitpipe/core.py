@@ -165,23 +165,36 @@ EVENT_KINDS = (IC, FC)
 EVENT_SIDES = (SIDE_LEFT, SIDE_RIGHT, SIDE_UNKNOWN)
 
 
-def event_columns(times: list, kinds: list,
-                  sides: list) -> tuple[list[float], list, list] | None:
+def event_columns(times: list, kinds: list, sides: list,
+                  where) -> tuple[list[float], list, list]:
     """The time, kind and side columns of a list of events, with each
-    time parsed by ``float``; None when a time is not a finite number or
-    a kind or side lies outside EVENT_KINDS or EVENT_SIDES.
+    time parsed by ``float``.
 
-    Each check runs once over its whole column, so a reader calls this
-    first and reads its input again one event at a time only on None,
-    to name the first bad one.
+    Every time must be a finite number, every kind in EVENT_KINDS and
+    every side in EVENT_SIDES. Each check runs once over its whole
+    column; only when one fails are the events walked in order, and the
+    first bad one raises ParseError, named by ``where(i)`` (its index or
+    its line).
     """
     try:
-        times = list(map(float, times))
-        valid = (all(map(math.isfinite, times))
-                 and set(kinds) <= set(EVENT_KINDS) and set(sides) <= set(EVENT_SIDES))
-    except (TypeError, ValueError):     # a time that is no number; an unhashable kind
-        return None
-    return (times, kinds, sides) if valid else None
+        floats = list(map(float, times))
+        if (all(map(math.isfinite, floats))
+                and set(kinds) <= set(EVENT_KINDS) and set(sides) <= set(EVENT_SIDES)):
+            return floats, kinds, sides
+    except (TypeError, ValueError, OverflowError):  # no number; an unhashable kind
+        pass
+    for i, (t, kind, side) in enumerate(zip(times, kinds, sides)):
+        try:
+            finite = math.isfinite(float(t))
+        except (TypeError, ValueError, OverflowError):
+            finite = False
+        if not finite:
+            raise ParseError(f"{where(i)}: time_s must be a finite number, got {t!r}")
+        if kind not in EVENT_KINDS:
+            raise ParseError(f"{where(i)}: kind must be IC or FC, got {kind!r}")
+        if side not in EVENT_SIDES:
+            raise ParseError(f"{where(i)}: side must be L, R, or U, got {side!r}")
+    raise ContractError("an event column failed its check but no event did")
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    EVENT_KINDS,
-    EVENT_SIDES,
     ConfigurationError,
     ContractError,
     GaitEvent,
@@ -46,8 +44,7 @@ def _open_text(source):
 def csv_rows(source, header: list[str]):
     """Yield ``(lineno, fields)`` for every non-empty data row of a CSV.
 
-    ``source`` is a path, raw bytes, an open text stream (left open) or
-    a list of the lines such a stream yields.
+    ``source`` is a path, raw bytes or an open text stream (left open).
     The first line must equal ``header`` up to whitespace, and every row
     must have as many fields; violations raise ParseError with the line
     number.
@@ -159,48 +156,26 @@ def write_recording(rec: ImuRecording, path) -> None:
 def load_reference_events(source) -> list[GaitEvent]:
     """Parse a reference event CSV (``t,kind,side``) into GaitEvents.
 
-    All rows are read in one pass and checked once per column. Where a
-    check fails, or a kind or side is padded with spaces, the rows are
-    read again one at a time, so that a ParseError keeps its wording and
-    line number.
+    Kinds and sides may be padded with spaces. The columns are checked
+    by ``event_columns``; a ParseError names the first bad line, whether
+    its fault is a field count or a value.
     """
-    fh = _open_text(source)
+    linenos, times, kinds, sides = [], [], [], []
+
+    def line(i):
+        return f"line {linenos[i]}"
+
     try:
-        lines = list(fh)        # a stream cannot be reread by the fallback
-    finally:
-        if fh is not source:
-            fh.close()
-    reader = csv.reader(lines)
-    first = next(reader, None)
-    if first is not None and [h.strip() for h in first] == EVENTS_HEADER:
-        times, kinds, sides = [], [], []
-        try:
-            # filter(None, ...) skips blank lines; each row is unpacked and
-            # dropped at once, so rows never pile up for the garbage collector
-            for t_raw, kind, side in filter(None, reader):
-                times.append(t_raw)
-                kinds.append(kind)
-                sides.append(side)
-        except ValueError:          # a row without 3 fields
-            pass
-        else:
-            columns = event_columns(times, kinds, sides)
-            if columns is not None:
-                return list(map(GaitEvent, *columns))
-    return _reference_events_by_row(lines)
-
-
-def _reference_events_by_row(lines) -> list[GaitEvent]:
-    events = []
-    for lineno, row in csv_rows(lines, EVENTS_HEADER):
-        t_raw, kind, side = (v.strip() for v in row)
-        if kind not in EVENT_KINDS:
-            raise ParseError(f"line {lineno}: kind must be IC or FC")
-        if side not in EVENT_SIDES:
-            raise ParseError(f"line {lineno}: side must be L, R, or U")
-        events.append(GaitEvent(time_s=finite_float(t_raw, lineno),
-                                kind=kind, side=side))
-    return events
+        for lineno, (t_raw, kind, side) in csv_rows(source, EVENTS_HEADER):
+            linenos.append(lineno)
+            times.append(t_raw)
+            kinds.append(kind.strip())
+            sides.append(side.strip())
+    except ParseError:
+        # a bad value on an earlier line comes first
+        event_columns(times, kinds, sides, line)
+        raise
+    return list(map(GaitEvent, *event_columns(times, kinds, sides, line)))
 
 
 def write_reference_events(events, path) -> None:

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -10,8 +9,6 @@ import numpy as np
 from . import frame as frame_mod
 from . import ingest, orientation, segmentation, stepdetect
 from .core import (
-    EVENT_KINDS,
-    EVENT_SIDES,
     SIDE_UNKNOWN,
     ConfigurationError,
     GaitEvent,
@@ -23,6 +20,9 @@ from .core import (
     event_columns,
 )
 from .segmentation import SegmentationConfig
+
+# the accelerometer low-pass pads each edge with 9 samples
+MIN_SAMPLES = 10
 
 
 @dataclass
@@ -90,10 +90,14 @@ class PipelineResult:
 
 def process_recording(rec: ImuRecording,
                       config: PipelineConfig | None = None) -> PipelineResult:
-    """Run ingest regularization through step detection on one recording."""
+    """Run ingest regularization through step detection on one recording
+    of at least MIN_SAMPLES samples."""
     config = config or PipelineConfig()
     config.validate()
     rec.validate()
+    if len(rec.t) < MIN_SAMPLES:
+        raise InsufficientDataError(
+            f"processing needs at least {MIN_SAMPLES} samples, got {len(rec.t)}")
 
     rec = ingest.ensure_uniform(rec, config.resample_hz)
     if config.lowpass_cutoff_hz < rec.sample_rate / 2.0:
@@ -170,35 +174,13 @@ def event_columns_from_json(doc) -> tuple[list[float], list[str], list[str]]:
     times, kinds, sides = [], [], []
     try:
         for d in doc:
-            times.append(d["time_s"])
-            kinds.append(d["kind"])
+            times.append(d.get("time_s"))
+            kinds.append(d.get("kind"))
             sides.append(d.get("side", SIDE_UNKNOWN))
-    except (KeyError, TypeError):      # a missing key; an entry that is no object
-        columns = None
-    else:
-        columns = event_columns(times, kinds, sides)
-    return columns if columns is not None else _event_columns_by_entry(doc)
-
-
-def _event_columns_by_entry(doc: list) -> tuple[list[float], list[str], list[str]]:
-    times, kinds, sides = [], [], []
-    for i, d in enumerate(doc):
-        if not isinstance(d, dict):
-            raise ParseError(f"event {i}: must be an object, got {type(d).__name__}")
-        raw = d.get("time_s")
-        try:
-            time_s = float(raw)
-        except (TypeError, ValueError):
-            time_s = math.nan
-        if not math.isfinite(time_s):
-            raise ParseError(f"event {i}: time_s must be a finite number, got {raw!r}")
-        kind = d.get("kind")
-        if kind not in EVENT_KINDS:
-            raise ParseError(f"event {i}: kind must be IC or FC, got {kind!r}")
-        side = d.get("side", SIDE_UNKNOWN)
-        if side not in EVENT_SIDES:
-            raise ParseError(f"event {i}: side must be L, R, or U, got {side!r}")
-        times.append(time_s)
-        kinds.append(kind)
-        sides.append(side)
-    return times, kinds, sides
+    except AttributeError:              # an entry that is no object
+        i = len(times)
+        # a bad value in an earlier event comes first
+        event_columns(times, kinds, sides, "event {}".format)
+        raise ParseError(f"event {i}: must be an object, "
+                         f"got {type(doc[i]).__name__}") from None
+    return event_columns(times, kinds, sides, "event {}".format)

@@ -152,8 +152,9 @@ def detect_events(accel_anatomical: np.ndarray, fs: float,
         prom = PROMINENCE_FRACTION * np.max(np.abs(signal))
         if prom > 0:
             idx, _ = find_peaks(signal, prominence=prom, height=prom, distance=dist)
-            events += [GaitEvent(time_s=t0 + i / fs, kind=kind,
-                                 strength=float(signal[i])) for i in idx]
+            # Python ints and floats, so the events carry float times
+            events += [GaitEvent(time_s=t0 + i / fs, kind=kind, strength=s)
+                       for i, s in zip(idx.tolist(), signal[idx].tolist())]
     events.sort(key=lambda e: (e.time_s, e.kind))
     return events
 

@@ -191,7 +191,10 @@ def generate(cfg: SynthConfig):
     gyro_frame = np.column_stack([np.zeros(n), np.zeros(n), yaw])
     if cfg.noise_sigma > 0:
         accel_frame = accel_frame + rng.normal(0.0, cfg.noise_sigma, accel_frame.shape)
-    rot = quat_to_matrix(cfg.sensor_rotation)
+    q = np.asarray(cfg.sensor_rotation, dtype=float)
+    norm = np.linalg.norm(q)
+    # a quaternion that is unit to within rounding keeps its exact bits
+    rot = quat_to_matrix(q if abs(norm - 1.0) <= 4 * np.finfo(float).eps else q / norm)
     accel = accel_frame @ rot.T
     gyro = gyro_frame @ rot.T
 

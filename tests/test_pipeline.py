@@ -1,8 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from gaitpipe import evaluate, pipeline, segmentation, stepdetect, synth
-from gaitpipe.core import ConfigurationError, ContractError, FC, IC, ParseError, SegmentKind
+from gaitpipe.core import (
+    FC,
+    IC,
+    ConfigurationError,
+    ContractError,
+    ImuRecording,
+    InsufficientDataError,
+    ParseError,
+    SegmentKind,
+)
 from gaitpipe.pipeline import PipelineConfig
 from gaitpipe.synth import Phase
 
@@ -168,6 +179,27 @@ class TestProcessRecording:
         with pytest.raises(ContractError):
             pipeline.process_recording(rec)
 
+    @pytest.mark.parametrize("fs", [20.0, 50.0, 100.0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 9])
+    def test_fewer_than_10_samples_refused(self, fs, n):
+        """Refused before any stage runs, at every rate and without a
+        numpy warning; 20 Hz skips the low-pass, whose guard used to be
+        the only one."""
+        t = np.arange(n) / fs
+        rec = ImuRecording(t=t, accel=np.tile([0.1, 0.2, 9.81], (n, 1)),
+                           gyro=np.zeros((n, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientDataError, match="at least 10 samples"):
+                pipeline.process_recording(rec)
+
+    def test_events_carry_python_floats(self):
+        rec, _, _, _ = synth.generate(synth.SynthConfig(duration_s=20.0, seed=7))
+        events = pipeline.process_recording(rec).events
+        assert events
+        assert all(type(e.time_s) is float and type(e.strength) is float
+                   for e in events)
+
     def test_determinism(self):
         rec, _, _, _ = synth.generate(synth.SynthConfig(duration_s=20.0,
                                                         seed=6,
@@ -188,31 +220,39 @@ class TestEventJson:
         assert [(e.time_s, e.kind, e.side) for e in back] \
             == [(e.time_s, e.kind, e.side) for e in result.events]
 
-    @pytest.mark.parametrize("doc", [
-        [{"time_s": 0.5, "kind": "IC", "side": "L"}, {"time_s": 0.6, "kind": "FC"}],
-        [],
-        [{"time_s": "0.5", "kind": "IC"}, {"time_s": True, "kind": "FC", "side": "R"}],
-        [{"time_s": 0.5, "kind": "IC"}, {"kind": "FC"}],
-        [{"time_s": 0.5, "kind": "IC"}, {"time_s": "x", "kind": "FC"}],
-        [{"time_s": 0.5, "kind": "IC"}, {"time_s": 1e400, "kind": "FC"}],
-        [{"time_s": 0.5, "kind": "IC"}, {"time_s": 0.6}],
-        [{"time_s": 0.5, "kind": ["IC"]}],
-        [{"time_s": 0.5, "kind": "FC", "side": "X"}],
-        [{"time_s": 0.5, "kind": "IC"}, [0.6, "FC"]],
-        {"time_s": 0.5, "kind": "IC"},
+    # Each case reads to the columns, or to the exact ParseError text,
+    # that the per-entry reader gave before its rules moved into
+    # core.event_columns; the multi-fault case pins that the first bad
+    # event is named, whatever its fault. An integer too large for a
+    # float raised a raw OverflowError there.
+    @pytest.mark.parametrize("doc, expected", [
+        ([{"time_s": 0.5, "kind": "IC", "side": "L"}, {"time_s": 0.6, "kind": "FC"}],
+         ([0.5, 0.6], ["IC", "FC"], ["L", "U"])),
+        ([], ([], [], [])),
+        ([{"time_s": "0.5", "kind": "IC"}, {"time_s": True, "kind": "FC", "side": "R"}],
+         ([0.5, 1.0], ["IC", "FC"], ["U", "R"])),
+        ([{"time_s": 0.5, "kind": "IC"}, {"kind": "FC"}],
+         "event 1: time_s must be a finite number, got None"),
+        ([{"time_s": 0.5, "kind": "IC"}, {"time_s": "x", "kind": "FC"}],
+         "event 1: time_s must be a finite number, got 'x'"),
+        ([{"time_s": 0.5, "kind": "IC"}, {"time_s": 1e400, "kind": "FC"}],
+         "event 1: time_s must be a finite number, got inf"),
+        ([{"time_s": 0.5, "kind": "IC"}, {"time_s": 0.6}],
+         "event 1: kind must be IC or FC, got None"),
+        ([{"time_s": 0.5, "kind": ["IC"]}], "event 0: kind must be IC or FC, got ['IC']"),
+        ([{"time_s": 0.5, "kind": "FC", "side": "X"}],
+         "event 0: side must be L, R, or U, got 'X'"),
+        ([{"time_s": 0.5, "kind": "IC"}, [0.6, "FC"]], "event 1: must be an object, got list"),
+        ({"time_s": 0.5, "kind": "IC"}, "detections must be a JSON list of events, got dict"),
+        ([{"time_s": 0.5, "kind": "XX"}, 7], "event 0: kind must be IC or FC, got 'XX'"),
+        ([{"time_s": 10 ** 400, "kind": "IC"}],
+         f"event 0: time_s must be a finite number, got {10 ** 400!r}"),
     ], ids=["valid", "empty", "number-like-times", "missing-time", "text-time",
             "inf-time", "missing-kind", "list-kind", "bad-side", "array-entry",
-            "not-a-list"])
-    def test_column_pass_equals_entry_loop(self, doc):
-        # the per-entry loop is the reference: same columns, or the same
-        # ParseError text naming the same event
-        def outcome(read):
-            try:
-                return read(doc)
-            except ParseError as exc:
-                return f"ParseError: {exc}"
-
-        expected = (outcome(pipeline._event_columns_by_entry)
-                    if isinstance(doc, list) else
-                    "ParseError: detections must be a JSON list of events, got dict")
-        assert outcome(pipeline.event_columns_from_json) == expected
+            "not-a-list", "bad-kind-before-non-object", "int-beyond-float"])
+    def test_column_pass_equals_entry_loop(self, doc, expected):
+        try:
+            got = pipeline.event_columns_from_json(doc)
+        except ParseError as exc:
+            got = str(exc)
+        assert got == expected

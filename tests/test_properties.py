@@ -1,7 +1,10 @@
 """Property tests of the sharp-turn splitter, the config round trip, the
-event matcher, the run splitter and the turn detector."""
+event matcher, the run splitter, the turn detector and the two event
+readers."""
 import json
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import butter, filtfilt
 
-from gaitpipe import evaluate, segmentation, stepdetect
-from gaitpipe.core import GravityAlignedRecording, Segment, SegmentKind
+from gaitpipe import evaluate, ingest, pipeline, segmentation, stepdetect
+from gaitpipe.core import (
+    EVENT_KINDS,
+    EVENT_SIDES,
+    GaitEvent,
+    GravityAlignedRecording,
+    ParseError,
+    Segment,
+    SegmentKind,
+)
 from gaitpipe.pipeline import PipelineConfig
 from gaitpipe.segmentation import SegmentationConfig, TurnInterval
 
@@ -287,3 +298,63 @@ def test_turns_equal_hysteresis_reference(case):
                                   gyro=gyro, sample_rate=fs,
                                   orientation=np.tile([1.0, 0, 0, 0], (n, 1)))
     assert segmentation.detect_turns(rec, cfg) == reference_turns(rec, cfg)
+
+
+
+events = st.lists(st.builds(GaitEvent,
+                            st.floats(allow_nan=False, allow_infinity=False),
+                            st.sampled_from(EVENT_KINDS), st.sampled_from(EVENT_SIDES)),
+                  max_size=20)
+# a bad value for one column of a row, or (None, ...) for a wrong field
+# count, which the CSV reader meets before it checks any value
+csv_faults = st.sampled_from([(0, "nan"), (0, "-inf"), (0, "x"), (0, ""), (1, "XX"),
+                              (1, ""), (2, "Q"), (2, "l"), (None, "1"), (None, None)])
+# a bad value for one key of an entry, None for a deleted key, or a
+# (None, ...) entry that is no object
+json_faults = st.sampled_from([("time_s", None), ("time_s", "x"), ("time_s", float("inf")),
+                               ("kind", None), ("kind", "XX"), ("kind", ["IC"]),
+                               ("side", "B"), (None, [0.5, "IC"])])
+
+
+@settings(max_examples=200)
+@given(events, st.data())
+def test_reference_csv_round_trip_and_first_bad_line(evs, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ref.csv"
+        ingest.write_reference_events(evs, path)
+        assert ingest.load_reference_events(path) == evs
+        lines = path.read_bytes().decode().split("\r\n")
+    if not evs:
+        return
+    # corrupt one field in each of a few rows: row k is line k + 2
+    rows = data.draw(st.sets(st.integers(0, len(evs) - 1), min_size=1, max_size=4))
+    for k in rows:
+        col, bad = data.draw(csv_faults)
+        fields = lines[k + 1].split(",")
+        if col is None:
+            fields = fields + [bad] if bad else fields[:-1]
+        else:
+            fields[col] = bad
+        lines[k + 1] = ",".join(fields)
+    with pytest.raises(ParseError, match=f"^line {min(rows) + 2}: "):
+        ingest.load_reference_events("\r\n".join(lines).encode())
+
+
+@settings(max_examples=200)
+@given(events, st.data())
+def test_detections_json_round_trip_and_first_bad_event(evs, data):
+    doc = json.loads(json.dumps(pipeline.events_to_json(evs)))
+    assert pipeline.events_from_json(doc) == evs
+    if not evs:
+        return
+    rows = data.draw(st.sets(st.integers(0, len(evs) - 1), min_size=1, max_size=4))
+    for k in rows:
+        key, bad = data.draw(json_faults)
+        if key is None:
+            doc[k] = bad
+        elif bad is None:
+            del doc[k][key]
+        else:
+            doc[k][key] = bad
+    with pytest.raises(ParseError, match=f"^event {min(rows)}: "):
+        pipeline.events_from_json(doc)

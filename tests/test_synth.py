@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from gaitpipe.core import (
     SegmentKind,
     SIDE_LEFT,
     SIDE_RIGHT,
+    quat_to_matrix,
+    random_unit_quat,
 )
 from gaitpipe.synth import Phase
 
@@ -149,6 +152,28 @@ class TestGenerate:
         np.testing.assert_allclose(
             np.linalg.norm(rotated.accel, axis=1),
             np.linalg.norm(plain.accel, axis=1), rtol=1e-9)
+
+    def test_sensor_rotation_normalised(self):
+        q = np.array([0.5, 0.5, 0.5, 0.5])
+        unit = synth.generate(synth.SynthConfig(duration_s=10.0, sensor_rotation=q))[0]
+        scaled = synth.generate(
+            synth.SynthConfig(duration_s=10.0, sensor_rotation=[1, 1, 1, 1]))[0]
+        np.testing.assert_allclose(scaled.accel, unit.accel, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(scaled.gyro, unit.gyro, rtol=1e-12, atol=1e-12)
+
+    def test_unit_sensor_rotation_keeps_its_bits(self):
+        """A quaternion of norm 1 to within rounding is not divided again,
+        which would change the bits of about a third of them."""
+        rng = np.random.default_rng(3)
+        cfg = synth.SynthConfig(duration_s=2.0)
+        base = synth.generate(cfg)[0]
+        changed = 0
+        for _ in range(30):
+            q = random_unit_quat(rng)
+            changed += not np.array_equal(q, q / np.linalg.norm(q))
+            rec = synth.generate(dataclasses.replace(cfg, sensor_rotation=q))[0]
+            assert np.array_equal(rec.accel, base.accel @ quat_to_matrix(q).T)
+        assert changed
 
     def test_noise_changes_signal_not_truth(self):
         clean = synth.generate(synth.SynthConfig(seed=5))
