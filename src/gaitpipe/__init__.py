@@ -6,6 +6,7 @@ estimation, adaptive wavelet step detection, plus evaluation tooling,
 a synthetic signal generator, and a Bayesian factor model for
 performance covariates.
 """
+import types
 
 from .core import (
     AmbiguousDirectionError,
@@ -38,7 +39,7 @@ from .ingest import (
     write_reference_events,
 )
 from .orientation import align_recording, estimate_orientation
-from .segmentation import SegmentationConfig, detect_turns, eligible_bouts, segment
+from .segmentation import detect_turns, eligible_bouts, segment
 from .frame import AnatomicalFrame, estimate_frame, to_anatomical, verify_frame
 from .stepdetect import (
     StrideEstimate,
@@ -74,24 +75,5 @@ from .pipeline import PipelineConfig, PipelineResult, process_recording
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguousDirectionError", "ConfigurationError", "ContractError",
-    "DiagnosticsError", "EmptySetError", "GaitPipeError",
-    "InsufficientDataError", "NoCadenceError", "ParseError",
-    "IC", "FC", "SIDE_LEFT", "SIDE_RIGHT", "SIDE_UNKNOWN",
-    "GaitEvent", "GravityAlignedRecording", "ImuRecording",
-    "Segment", "SegmentKind",
-    "ensure_uniform", "load_recording", "load_reference_events",
-    "lowpass_accel", "resample", "write_recording", "write_reference_events",
-    "align_recording", "estimate_orientation",
-    "SegmentationConfig", "detect_turns", "eligible_bouts", "segment",
-    "AnatomicalFrame", "estimate_frame", "to_anatomical", "verify_frame",
-    "StrideEstimate", "WaveletParams", "assign_laterality", "detect_events",
-    "estimate_stride_duration", "estimate_wavelet_params", "quality_check",
-    "AggregateSummary", "MatchReport", "MetricSet", "TemporalErrorSet",
-    "compute_metrics", "match_events", "temporal_errors", "two_stage_aggregate",
-    "Phase", "SynthConfig", "generate",
-    "FactorObservation", "FitResult", "PosteriorSummary", "contrasts",
-    "load_factor_table", "sample_posterior", "sample_prior", "simulate_dataset",
-    "PipelineConfig", "PipelineResult", "process_recording",
-]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]

@@ -10,12 +10,12 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import replace
 from operator import attrgetter
 
 from . import factors as factors_mod
 from . import ingest, pipeline, synth
-from .core import FC, IC, ConfigurationError, GaitPipeError
+from .core import FC, IC, GaitPipeError, PipelineConfig
 from .evaluate import (
     DEFAULT_WINDOW_S,
     compute_metrics,
@@ -25,7 +25,6 @@ from .evaluate import (
     temporal_errors,
     two_stage_aggregate,
 )
-from .pipeline import PipelineConfig
 
 
 def write_json_atomic(doc, path) -> None:
@@ -42,12 +41,8 @@ def write_json_atomic(doc, path) -> None:
         raise
 
 
-def _load_config(path) -> PipelineConfig:
-    return PipelineConfig.load(path) if path else PipelineConfig()
-
-
 def cmd_process(args) -> int:
-    config = _load_config(args.config)
+    config = PipelineConfig.load(args.config) if args.config else PipelineConfig()
     rec = ingest.load_recording(args.recording)
     result = pipeline.process_recording(rec, config)
     write_json_atomic(pipeline.events_to_json(result.events), args.out_events)
@@ -122,37 +117,10 @@ def cmd_aggregate(args) -> int:
     return 0
 
 
-def _phase_from_json(i: int, p) -> synth.Phase:
-    if not (isinstance(p, dict) and "kind" in p and "duration_s" in p):
-        raise ConfigurationError(f"script phase {i}: needs a kind and a duration_s")
-    try:
-        return synth.Phase(kind=p["kind"], duration_s=float(p["duration_s"]),
-                           angle_deg=float(p.get("angle_deg", 0.0)))
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"script phase {i}: duration_s and angle_deg must be numbers") from None
-
-
-def _synth_config_from_json(doc: dict) -> synth.SynthConfig:
-    unknown = set(doc) - {f.name for f in fields(synth.SynthConfig)}
-    if unknown:
-        raise GaitPipeError(f"unknown synth config keys: {sorted(unknown)}")
-    kwargs = dict(doc)
-    if kwargs.get("script") is not None:
-        if not isinstance(kwargs["script"], list):
-            raise ConfigurationError("script must be a list of phases")
-        kwargs["script"] = [_phase_from_json(i, p) for i, p in enumerate(kwargs["script"])]
-    return synth.SynthConfig(**kwargs)
-
-
 def cmd_synth(args) -> int:
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = _synth_config_from_json(json.load(fh))
-    else:
-        cfg = synth.SynthConfig()
+    cfg = synth.SynthConfig.load(args.config) if args.config else synth.SynthConfig()
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     rec, events, segments, _turns = synth.generate(cfg)
     ingest.write_recording(rec, args.out_recording)
     ingest.write_reference_events(events, args.out_events)

@@ -1,9 +1,11 @@
-"""Shared domain types, error classes, quaternion helpers and the
-zero-phase low-pass filter."""
+"""Shared domain types, error classes, the config types, quaternion
+helpers and the zero-phase low-pass filter."""
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.signal import butter, filtfilt
@@ -43,6 +45,139 @@ class EmptySetError(GaitPipeError):
 
 class DiagnosticsError(GaitPipeError):
     """MCMC sampling failed its health checks."""
+
+
+# ---------------------------------------------------------------------------
+# Configuration
+
+GRAVITY = 9.81
+AXIS_VERTICAL = "vertical"
+AXIS_AP = "antero_posterior"
+
+
+def finite_real(v) -> bool:
+    """Whether v is a real number, not a bool, that converts to a finite float."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:               # an int beyond the float range
+        return False
+
+
+# what each name in a field annotation admits, and how a message says it
+FIELD_TYPES = {
+    "float": ("a finite number", finite_real),
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "None": ("null", lambda v: v is None),
+}
+
+
+def check_field_types(obj) -> None:
+    """Raise ConfigurationError for the first field of the dataclass obj whose
+    annotation (``float``, ``int | None``, ...) does not admit its value; a
+    name not in FIELD_TYPES admits anything but None."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        rules = [FIELD_TYPES.get(name, ("non-null", lambda v: v is not None))
+                 for name in f.type.split(" | ")]
+        if not any(admits(value) for _, admits in rules):
+            kinds = " or ".join(kind for kind, _ in rules)
+            raise ConfigurationError(f"{f.name} must be {kinds}, got {value!r}")
+
+
+def json_keys(cls, doc) -> dict:
+    """doc, if it is a JSON object whose keys all name fields of the dataclass cls."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"a {cls.__name__} must be an object, got {type(doc).__name__}")
+    if unknown := set(doc) - {f.name for f in fields(cls)}:
+        raise ConfigurationError(f"unknown {cls.__name__} keys: {sorted(unknown, key=str)}")
+    return doc
+
+
+class Config:
+    """Base of the config dataclasses, each checked when it is built: the
+    type of every field (check_field_types), then the ranges of the
+    subclass's validate()."""
+
+    def __post_init__(self):
+        check_field_types(self)
+        self.validate()
+
+    def to_json(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_json(cls, doc):
+        return cls(**json_keys(cls, doc))
+
+    @classmethod
+    def load(cls, path):
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                return cls.from_json(json.load(fh))
+            except ValueError as exc:   # no JSON, or no UTF-8
+                raise ConfigurationError(f"{path}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class PipelineConfig(Config):
+    """Every tunable constant of the pipeline, flat for easy serialization."""
+
+    window_s: float = 0.6
+    accel_ref: float = GRAVITY
+    accel_tol: float = 0.10
+    gyro_thresh: float = 0.6          # rad/s, valid 0.2-0.6
+    std_thresh: float = 0.2           # m/s^2, valid 0.05-0.4
+    merge_gap_s: float = 1.0
+    rest_split_s: float = 2.0
+    min_bout_s: float = 2.0
+    boundary_margin_s: float = 2.0
+    sharp_turn_deg: float = 90.0
+    # turn detection (El-Gohary style)
+    turn_lowpass_hz: float = 1.5
+    turn_start_dps: float = 15.0
+    turn_stop_dps: float = 5.0
+    turn_merge_s: float = 0.05
+    # gait verification
+    stride_lag_min_s: float = 0.4
+    stride_lag_max_s: float = 2.25
+    autocorr_peak_min: float = 0.3
+    resample_hz: float | None = None
+    lowpass_cutoff_hz: float = 17.0
+    madgwick_beta: float = 0.041
+    # optional overrides for the adaptive wavelet parameter estimation
+    wavelet_scale: float | None = None
+    wavelet_axis: str | None = None
+    wavelet_sign: int | None = None
+
+    POSITIVE = ("window_s accel_ref accel_tol gyro_thresh std_thresh merge_gap_s "
+                "rest_split_s min_bout_s boundary_margin_s sharp_turn_deg turn_lowpass_hz "
+                "resample_hz lowpass_cutoff_hz madgwick_beta wavelet_scale").split()
+
+    def validate(self) -> None:
+        for name in self.POSITIVE:
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigurationError(f"{name} must be positive, got {value}")
+        if not 0 <= self.turn_stop_dps <= self.turn_start_dps:
+            raise ConfigurationError(
+                "turn rates need 0 <= turn_stop_dps <= turn_start_dps")
+        if self.turn_merge_s < 0:
+            raise ConfigurationError("turn_merge_s must not be negative")
+        if not 0.2 <= self.gyro_thresh <= 0.6:
+            raise ConfigurationError("gyro_thresh outside valid range [0.2, 0.6] rad/s")
+        if not 0.05 <= self.std_thresh <= 0.4:
+            raise ConfigurationError("std_thresh outside valid range [0.05, 0.4] m/s^2")
+        if not 0 < self.stride_lag_min_s < self.stride_lag_max_s:
+            raise ConfigurationError(
+                "stride lag band needs 0 < stride_lag_min_s < stride_lag_max_s")
+        if self.wavelet_axis not in (None, AXIS_VERTICAL, AXIS_AP):
+            raise ConfigurationError("wavelet_axis must be vertical or antero_posterior")
+        if self.wavelet_sign not in (None, -1, 1):
+            raise ConfigurationError("wavelet_sign must be -1 or 1")
+
+
+DEFAULT_CONFIG = PipelineConfig()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import ContractError, DiagnosticsError, EmptySetError, ParseError
+from .core import (ConfigurationError, ContractError, DiagnosticsError, EmptySetError,
+                   ParseError)
 from .ingest import csv_rows, finite_float
 
 F1_CLAMP = 1e-4
@@ -80,6 +81,8 @@ def load_factor_table(source) -> list[FactorObservation]:
     for lineno, row in csv_rows(source, FACTOR_HEADER):
         f1_raw, age_raw, sex, disease, subject, env, aid = (v.strip() for v in row)
         f1 = finite_float(f1_raw, lineno)
+        if not 0.0 <= f1 <= 1.0:
+            raise ParseError(f"line {lineno}: f1 {f1} outside [0, 1]")
         age = finite_float(age_raw, lineno)
         try:
             subject_idx = int(subject)
@@ -154,6 +157,12 @@ def log_likelihood(theta: np.ndarray, data: list[FactorObservation]) -> float:
 
 def _run_chains(columns, n_sub, n_draws, n_warmup, seed, n_chains,
                 prior_scale):
+    if n_draws < 4 or n_warmup < 0 or n_chains < 1 or seed < 0:
+        raise ConfigurationError(  # split R-hat takes 2 draws per half chain
+            "sampling needs n_draws >= 4, n_warmup >= 0, n_chains >= 1 and seed >= 0, "
+            f"got {n_draws}, {n_warmup}, {n_chains} and {seed}")
+    if not (math.isfinite(prior_scale) and prior_scale > 0):
+        raise ConfigurationError("prior_scale must be finite and positive")
     rng = np.random.default_rng(seed)
     dim = kernels.N_GLOBAL + n_sub
     theta0 = np.zeros((n_chains, dim))

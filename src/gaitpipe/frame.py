@@ -5,8 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AmbiguousDirectionError, InsufficientDataError
-from .segmentation import SegmentationConfig, dominant_stride_peak
+from .core import (DEFAULT_CONFIG, AmbiguousDirectionError, InsufficientDataError,
+                   PipelineConfig)
+from .segmentation import dominant_stride_peak
 
 EIGENVALUE_RATIO_MIN = 1.2
 
@@ -27,7 +28,7 @@ class AnatomicalFrame:
 
 
 def estimate_frame(accel_aligned: np.ndarray, fs: float,
-                   cfg: SegmentationConfig | None = None) -> AnatomicalFrame:
+                   cfg: PipelineConfig = DEFAULT_CONFIG) -> AnatomicalFrame:
     """PCA of the horizontal acceleration defines the walking direction.
 
     The vertical axis is inherited from gravity alignment, the AP axis is
@@ -35,7 +36,6 @@ def estimate_frame(accel_aligned: np.ndarray, fs: float,
     (sign unresolved), and ML completes the right-handed triad. It needs
     at least ``min_bout_s`` of samples.
     """
-    cfg = cfg or SegmentationConfig()
     if len(accel_aligned) < cfg.min_bout_s * fs:
         raise InsufficientDataError(
             f"frame estimation needs at least {cfg.min_bout_s:g} s of samples")
@@ -63,9 +63,8 @@ def to_anatomical(samples: np.ndarray, frame: AnatomicalFrame) -> np.ndarray:
 
 
 def verify_frame(ap_autocorr: np.ndarray, fs: float,
-                 cfg: SegmentationConfig | None = None) -> bool:
+                 cfg: PipelineConfig = DEFAULT_CONFIG) -> bool:
     """True iff the AP channel, given as its stride_autocorr array, shows
     dominant stride-band periodicity."""
-    cfg = cfg or SegmentationConfig()
     peak = dominant_stride_peak(ap_autocorr, fs, cfg)
     return peak is not None and peak[1] >= cfg.autocorr_peak_min

@@ -209,10 +209,11 @@ def ensure_uniform(rec: ImuRecording, target_rate: float | None = None) -> ImuRe
     if rec.sample_rate is not None:
         return rec
     dt = np.diff(rec.t)
-    if len(dt) and np.max(np.abs(dt - dt[0])) <= 1e-9:
+    if not len(dt):
+        raise InsufficientDataError("a uniform grid needs at least 2 samples")
+    if np.max(np.abs(dt - dt[0])) <= 1e-9:
         return dataclasses.replace(rec, sample_rate=float(1.0 / dt[0]))
-    rate = 1.0 / float(np.median(dt))
-    return resample(rec, rate)
+    return resample(rec, 1.0 / float(np.median(dt)))
 
 
 def lowpass_accel(rec: ImuRecording, cutoff: float = 17.0) -> ImuRecording:

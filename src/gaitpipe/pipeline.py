@@ -1,76 +1,25 @@
 """End-to-end processing of one recording into segments and gait events."""
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from . import frame as frame_mod
 from . import ingest, orientation, segmentation, stepdetect
 from .core import (
+    DEFAULT_CONFIG,
     SIDE_UNKNOWN,
-    ConfigurationError,
     GaitEvent,
     ImuRecording,
     InsufficientDataError,
     AmbiguousDirectionError,
     ParseError,
+    PipelineConfig,
     Segment,
     event_columns,
 )
-from .segmentation import SegmentationConfig
 
 # the accelerometer low-pass pads each edge with 9 samples
 MIN_SAMPLES = 10
-
-
-@dataclass
-class PipelineConfig(SegmentationConfig):
-    """Every tunable constant of the pipeline, flat for easy serialization.
-
-    The segmentation keys are inherited from SegmentationConfig, so a
-    PipelineConfig is passed as is wherever a SegmentationConfig is taken.
-    """
-
-    resample_hz: float | None = None
-    lowpass_cutoff_hz: float = 17.0
-    madgwick_beta: float = 0.041
-    # optional overrides for the adaptive wavelet parameter estimation
-    wavelet_scale: float | None = None
-    wavelet_axis: str | None = None
-    wavelet_sign: int | None = None
-
-    def validate(self) -> None:
-        super().validate()
-        if self.resample_hz is not None and self.resample_hz <= 0:
-            raise ConfigurationError("resample_hz must be positive")
-        if self.lowpass_cutoff_hz <= 0 or self.madgwick_beta <= 0:
-            raise ConfigurationError("filter cutoff and Madgwick beta must be positive")
-        if self.wavelet_scale is not None and self.wavelet_scale <= 0:
-            raise ConfigurationError("wavelet_scale must be positive")
-        if self.wavelet_axis not in (None, stepdetect.AXIS_VERTICAL, stepdetect.AXIS_AP):
-            raise ConfigurationError("wavelet_axis must be vertical or antero_posterior")
-        if self.wavelet_sign not in (None, -1, 1):
-            raise ConfigurationError("wavelet_sign must be -1 or 1")
-
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**doc)
-        cfg.validate()
-        return cfg
-
-    @classmethod
-    def load(cls, path) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 @dataclass
@@ -89,11 +38,9 @@ class PipelineResult:
 
 
 def process_recording(rec: ImuRecording,
-                      config: PipelineConfig | None = None) -> PipelineResult:
+                      config: PipelineConfig = DEFAULT_CONFIG) -> PipelineResult:
     """Run ingest regularization through step detection on one recording
     of at least MIN_SAMPLES samples."""
-    config = config or PipelineConfig()
-    config.validate()
     rec.validate()
     if len(rec.t) < MIN_SAMPLES:
         raise InsufficientDataError(

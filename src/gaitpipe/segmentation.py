@@ -2,67 +2,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.signal import find_peaks
 
-from .core import (
-    ConfigurationError,
-    GravityAlignedRecording,
-    Segment,
-    SegmentKind,
-    lowpass,
-)
-
-GRAVITY = 9.81
-
-
-@dataclass
-class SegmentationConfig:
-    window_s: float = 0.6
-    accel_ref: float = GRAVITY
-    accel_tol: float = 0.10
-    gyro_thresh: float = 0.6          # rad/s, valid 0.2-0.6
-    std_thresh: float = 0.2           # m/s^2, valid 0.05-0.4
-    merge_gap_s: float = 1.0
-    rest_split_s: float = 2.0
-    min_bout_s: float = 2.0
-    boundary_margin_s: float = 2.0
-    sharp_turn_deg: float = 90.0
-    # turn detection (El-Gohary style)
-    turn_lowpass_hz: float = 1.5
-    turn_start_dps: float = 15.0
-    turn_stop_dps: float = 5.0
-    turn_merge_s: float = 0.05
-    # gait verification
-    stride_lag_min_s: float = 0.4
-    stride_lag_max_s: float = 2.25
-    autocorr_peak_min: float = 0.3
-
-    def validate(self) -> None:
-        values = [getattr(self, f.name) for f in fields(self)]
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-            raise ConfigurationError("config values must be finite")
-        positives = [self.window_s, self.accel_ref, self.accel_tol, self.gyro_thresh,
-                     self.std_thresh, self.merge_gap_s, self.rest_split_s,
-                     self.min_bout_s, self.boundary_margin_s, self.sharp_turn_deg,
-                     self.turn_lowpass_hz]
-        if any(v <= 0 for v in positives):
-            raise ConfigurationError("all segmentation parameters must be positive")
-        if not 0 <= self.turn_stop_dps <= self.turn_start_dps:
-            raise ConfigurationError(
-                "turn rates need 0 <= turn_stop_dps <= turn_start_dps")
-        if self.turn_merge_s < 0:
-            raise ConfigurationError("turn_merge_s must not be negative")
-        if not 0.2 <= self.gyro_thresh <= 0.6:
-            raise ConfigurationError("gyro_thresh outside valid range [0.2, 0.6] rad/s")
-        if not 0.05 <= self.std_thresh <= 0.4:
-            raise ConfigurationError("std_thresh outside valid range [0.05, 0.4] m/s^2")
-        if not 0 < self.stride_lag_min_s < self.stride_lag_max_s:
-            raise ConfigurationError(
-                "stride lag band needs 0 < stride_lag_min_s < stride_lag_max_s")
+from .core import (DEFAULT_CONFIG, GravityAlignedRecording, PipelineConfig, Segment,
+                   SegmentKind, lowpass)
 
 
 @dataclass
@@ -71,17 +18,17 @@ class TurnInterval:
     end_s: float
     angle_deg: float
 
-    def is_sharp(self, cfg: SegmentationConfig | None = None) -> bool:
+    def is_sharp(self, cfg: PipelineConfig = DEFAULT_CONFIG) -> bool:
         """Whether the turn reaches ``cfg.sharp_turn_deg`` either way."""
-        return abs(self.angle_deg) >= (cfg or SegmentationConfig()).sharp_turn_deg
+        return abs(self.angle_deg) >= cfg.sharp_turn_deg
 
 
-def window_length(fs: float, cfg: SegmentationConfig) -> int:
+def window_length(fs: float, cfg: PipelineConfig) -> int:
     """Samples per classification window."""
     return max(2, int(round(cfg.window_s * fs)))
 
 
-def window_bounds(n_samples: int, fs: float, cfg: SegmentationConfig):
+def window_bounds(n_samples: int, fs: float, cfg: PipelineConfig):
     """Non-overlapping window index ranges; a tail < window_s/2 is dropped."""
     wlen = window_length(fs, cfg)
     bounds = []
@@ -95,14 +42,12 @@ def window_bounds(n_samples: int, fs: float, cfg: SegmentationConfig):
     return bounds
 
 
-def classify_windows(rec: GravityAlignedRecording, cfg: SegmentationConfig | None = None):
+def classify_windows(rec: GravityAlignedRecording, cfg: PipelineConfig = DEFAULT_CONFIG):
     """Per-window moving flags. Non-moving needs all three criteria:
     mean |accel| near the reference value, mean |gyro| below threshold,
     and combined accel standard deviation (norm of per-axis SDs) below
     threshold.
     """
-    cfg = cfg or SegmentationConfig()
-    cfg.validate()
     fs = rec.sample_rate
     n = len(rec.t)
     bounds = window_bounds(n, fs, cfg)
@@ -143,10 +88,9 @@ def _runs(flags: np.ndarray):
     return [(a, b, bool(flags[a])) for a, b in zip(starts, ends)]
 
 
-def segment(rec: GravityAlignedRecording, cfg: SegmentationConfig | None = None) -> list[Segment]:
+def segment(rec: GravityAlignedRecording, cfg: PipelineConfig = DEFAULT_CONFIG) -> list[Segment]:
     """Classify the recording into boundaries, rests, unknowns, and bout
     candidates. The returned segments tile the windowed span."""
-    cfg = cfg or SegmentationConfig()
     moving, bounds = classify_windows(rec, cfg)
     if not len(bounds):
         return []
@@ -190,9 +134,8 @@ def segment(rec: GravityAlignedRecording, cfg: SegmentationConfig | None = None)
     return segments
 
 
-def detect_turns(rec: GravityAlignedRecording, cfg: SegmentationConfig | None = None) -> list[TurnInterval]:
+def detect_turns(rec: GravityAlignedRecording, cfg: PipelineConfig = DEFAULT_CONFIG) -> list[TurnInterval]:
     """Turn intervals from the low-pass filtered vertical angular velocity."""
-    cfg = cfg or SegmentationConfig()
     fs = rec.sample_rate
     yaw = rec.vertical_gyro
     if len(yaw) < 10:
@@ -243,13 +186,13 @@ def unbiased_autocorr(x: np.ndarray, max_lag: int | None = None) -> np.ndarray:
     return r / r[0]
 
 
-def stride_autocorr(x: np.ndarray, fs: float, cfg: SegmentationConfig) -> np.ndarray:
+def stride_autocorr(x: np.ndarray, fs: float, cfg: PipelineConfig) -> np.ndarray:
     """unbiased_autocorr of x up to one lag past the stride band's upper
     edge, so find_peaks sees the edge's neighbour."""
     return unbiased_autocorr(x, math.ceil(cfg.stride_lag_max_s * fs) + 1)
 
 
-def dominant_stride_peak(r: np.ndarray, fs: float, cfg: SegmentationConfig):
+def dominant_stride_peak(r: np.ndarray, fs: float, cfg: PipelineConfig):
     """(lag_s, coefficient) of the dominant peak of a stride_autocorr
     array in the stride band, or None if no local maximum exists there.
 
@@ -280,21 +223,19 @@ def dominant_stride_peak(r: np.ndarray, fs: float, cfg: SegmentationConfig):
 
 
 def verify_gait(r: np.ndarray, fs: float,
-                cfg: SegmentationConfig | None = None) -> tuple[float, float] | None:
+                cfg: PipelineConfig = DEFAULT_CONFIG) -> tuple[float, float] | None:
     """The dominant stride peak of a stride_autocorr array of vertical
     acceleration when it reaches ``autocorr_peak_min`` (the signal is
     gait), else None."""
-    cfg = cfg or SegmentationConfig()
     peak = dominant_stride_peak(r, fs, cfg)
     return peak if peak is not None and peak[1] >= cfg.autocorr_peak_min else None
 
 
 def refine_with_turns(segments: list[Segment], turns: list[TurnInterval],
-                      cfg: SegmentationConfig | None = None) -> list[Segment]:
+                      cfg: PipelineConfig = DEFAULT_CONFIG) -> list[Segment]:
     """Relabel the sharp-turn spans inside gait bouts as SharpTurn
     segments, splitting the bouts around them. This is the one place
     where bouts are split at turns."""
-    cfg = cfg or SegmentationConfig()
     sharp = sorted((t for t in turns if t.is_sharp(cfg)), key=lambda t: t.start_s)
     out = []
     for seg in segments:
@@ -331,10 +272,9 @@ class Bout(Segment):
 
 
 def eligible_bouts(rec: GravityAlignedRecording, segments: list[Segment],
-                   cfg: SegmentationConfig | None = None) -> list[Bout]:
+                   cfg: PipelineConfig = DEFAULT_CONFIG) -> list[Bout]:
     """The gait bouts of already refined segments (see refine_with_turns)
     that last at least ``min_bout_s`` and pass gait verification."""
-    cfg = cfg or SegmentationConfig()
     fs = rec.sample_rate
     t0 = rec.t[0]
     out = []

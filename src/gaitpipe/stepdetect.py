@@ -7,6 +7,8 @@ import numpy as np
 from scipy.signal import find_peaks
 
 from .core import (
+    AXIS_AP,
+    AXIS_VERTICAL,
     FC,
     IC,
     GaitEvent,
@@ -19,9 +21,6 @@ from .core import (
 )
 # importable from here because gaitbench wraps these bindings by name
 from .segmentation import dominant_stride_peak, unbiased_autocorr  # noqa: F401
-
-AXIS_VERTICAL = "vertical"
-AXIS_AP = "antero_posterior"
 
 # relative prominence gate for extrema; scale-free so that amplitude
 # scaling leaves detected indices unchanged

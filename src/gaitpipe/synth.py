@@ -9,12 +9,14 @@ Heading rotation during scripted turns is applied to the gyroscope only.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
+    GRAVITY,
+    Config,
     ConfigurationError,
     FC,
     GaitEvent,
@@ -24,9 +26,12 @@ from .core import (
     SegmentKind,
     SIDE_LEFT,
     SIDE_RIGHT,
+    check_field_types,
+    finite_real,
+    json_keys,
     quat_to_matrix,
 )
-from .segmentation import GRAVITY, TurnInterval, refine_with_turns
+from .segmentation import TurnInterval, refine_with_turns
 
 SECOND_HARMONIC = 0.2
 STEP_MODULATION = 0.3
@@ -38,15 +43,18 @@ class Phase:
     duration_s: float
     angle_deg: float = 0.0    # turns only
 
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind, "duration_s": self.duration_s}
-        if self.kind == "turn":
-            doc["angle_deg"] = self.angle_deg
-        return doc
+
+@contextmanager
+def _phase_errors(i: int):
+    """Prefix the ConfigurationError of script phase i with its index."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"script phase {i}: {exc}") from None
 
 
-@dataclass
-class SynthConfig:
+@dataclass(frozen=True)
+class SynthConfig(Config):
     duration_s: float = 60.0
     sample_rate_hz: float = 50.0
     stride_s: float = 1.2
@@ -62,15 +70,11 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        values = [getattr(self, f.name) for f in fields(self)]
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-            raise ConfigurationError("synth config values must be finite")
-        try:
-            q = np.asarray(self.sensor_rotation, dtype=float)
-        except (TypeError, ValueError):
-            q = np.empty(0)
-        norm = np.linalg.norm(q) if q.shape == (4,) else 0.0
-        if not (np.isfinite(norm) and norm > 0):
+        q = self.sensor_rotation
+        q = q.tolist() if isinstance(q, np.ndarray) else q
+        # the squared norm as generate() takes it, which must not be 0 or overflow
+        if not (isinstance(q, (list, tuple)) and len(q) == 4 and all(map(finite_real, q))
+                and 0 < sum(float(v) * float(v) for v in q) < np.inf):
             raise ConfigurationError(
                 "sensor_rotation must be 4 finite values with a finite, non-zero norm")
         if not 0.4 <= self.stride_s <= 2.25:
@@ -79,29 +83,45 @@ class SynthConfig:
             raise ConfigurationError("fc_phase outside the 25%-of-max-stride gate")
         if self.sample_rate_hz <= 0 or self.duration_s <= 0:
             raise ConfigurationError("duration and sample rate must be positive")
+        if self.noise_sigma < 0 or self.seed < 0:
+            raise ConfigurationError("noise_sigma and seed must not be negative, got "
+                                     f"{self.noise_sigma} and {self.seed}")
         if self.script is not None:
+            if not isinstance(self.script, list):
+                raise ConfigurationError("script must be a list of phases")
+            for i, p in enumerate(self.script):
+                with _phase_errors(i):
+                    if not isinstance(p, Phase):
+                        raise ConfigurationError(f"must be a Phase, got {type(p).__name__}")
+                    check_field_types(p)
+                    if p.kind not in ("walk", "rest", "turn"):
+                        raise ConfigurationError(f"unknown phase kind {p.kind!r}")
+                    if p.duration_s <= 0:
+                        raise ConfigurationError("phase durations must be positive")
             total = sum(p.duration_s for p in self.script)
             if abs(total - self.duration_s) > 1e-6:
                 raise ConfigurationError(
                     f"script phases ({total} s) do not tile duration_s "
                     f"({self.duration_s} s)")
-            for p in self.script:
-                if p.kind not in ("walk", "rest", "turn"):
-                    raise ConfigurationError(f"unknown phase kind {p.kind!r}")
-                if not (math.isfinite(p.duration_s) and math.isfinite(p.angle_deg)):
-                    raise ConfigurationError("phase values must be finite")
-                if p.duration_s <= 0:
-                    raise ConfigurationError("phase durations must be positive")
 
-    def phases(self) -> list[Phase]:
-        if self.script is None:
-            return [Phase("walk", self.duration_s)]
-        return list(self.script)
+    @classmethod
+    def from_json(cls, doc) -> "SynthConfig":
+        """A SynthConfig from a JSON object; each script phase is an object
+        of Phase's keys and needs a kind and a duration_s."""
+        doc = json_keys(cls, doc)
+        if isinstance(doc.get("script"), list):
+            script = []
+            for i, p in enumerate(doc["script"]):
+                with _phase_errors(i):
+                    if not {"kind", "duration_s"} <= json_keys(Phase, p).keys():
+                        raise ConfigurationError("needs a kind and a duration_s")
+                    script.append(Phase(**p))
+            doc = dict(doc, script=script)
+        return cls(**doc)
 
 
 def generate(cfg: SynthConfig):
     """Build (recording, true_events, true_segments, true_turns)."""
-    cfg.validate()
     fs = cfg.sample_rate_hz
     stride = cfg.stride_s
     step = stride / 2.0
@@ -109,7 +129,7 @@ def generate(cfg: SynthConfig):
     t = np.arange(n) / fs
     rng = np.random.default_rng(cfg.seed)
 
-    phases = cfg.phases()
+    phases = cfg.script or [Phase("walk", cfg.duration_s)]
     starts = np.concatenate([[0.0], np.cumsum([p.duration_s for p in phases])])
 
     # waveform phase chosen so ICs land exactly on the minima of the

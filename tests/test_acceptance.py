@@ -119,7 +119,7 @@ def test_acceptance_3_orientation_invariance(capsys):
     # amplitude scaling: exact event-index equality at the detector level
     ga = orientation.align_recording(rec)
     anat = frame.to_anatomical(ga.accel, frame.estimate_frame(ga.accel, fs))
-    seg_cfg = segmentation.SegmentationConfig()
+    seg_cfg = segmentation.PipelineConfig()
     stride = stepdetect.estimate_stride_duration(segmentation.verify_gait(
         segmentation.stride_autocorr(anat[:, 0], fs, seg_cfg), fs, seg_cfg))
     amp_ok = True

@@ -143,6 +143,55 @@ class TestWorkflow:
         assert err.startswith("error:") and "10 samples" in err
 
 
+BIG_INT = "1" + "0" * 400
+
+
+class TestBadConfigFiles:
+    """Every config document that is not a valid config ends in an error
+    line and exit 1, and no output is written."""
+
+    @pytest.mark.parametrize("doc", [
+        '{"window_s": "abc"}', '{"window_s": null}', '{"window_s": true}',
+        f'{{"window_s": {BIG_INT}}}', '{"wavelet_sign": 1.0}', '{"resample_hz": [50]}',
+        '[]', '"window_s"', '{"window_s": 0.6', '{"window_s": NaN}',
+    ], ids=lambda doc: doc[:24])
+    def test_process_config(self, tmp_path, capsys, doc):
+        recording = tmp_path / "rec.csv"
+        run(["synth", "--config", self._write(tmp_path, '{"duration_s": 10.0}'),
+             "--out-recording", recording, "--out-events", tmp_path / "t.csv",
+             "--out-segments", tmp_path / "s.json"])
+        capsys.readouterr()
+        events = tmp_path / "e.json"
+        assert run(["process", recording, "--config", self._write(tmp_path, doc),
+                    "--out-events", events, "--out-segments", tmp_path / "g.json"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not events.exists()
+
+    @pytest.mark.parametrize("doc, seed", [
+        ('{"duration_s": "abc"}', None), ('{"stride_s": null}', None),
+        ('{"seed": 1.5}', None), ('{"seed": -1}', None), ('{"seed": true}', None),
+        (f'{{"duration_s": {BIG_INT}}}', None), ('{"noise_sigma": -0.3}', None),
+        ('[]', None), ('{"sensor_rotation": [true, false, false, false]}', None),
+        ('{"duration_s": 10.0, "script": [{"kind": "walk", "duration_s": 10.0, '
+         '"speed": 1.2}]}', None),
+        ('{"duration_s": 10.0, "script": [{"kind": "walk", "duration_s": true}]}', None),
+        ('{"duration_s": 10.0}', -1),
+    ], ids=lambda v: str(v)[:24])
+    def test_synth_config(self, tmp_path, capsys, doc, seed):
+        out = tmp_path / "r.csv"
+        argv = ["synth", "--config", self._write(tmp_path, doc), "--out-recording", out,
+                "--out-events", tmp_path / "e.csv", "--out-segments", tmp_path / "s.json"]
+        assert run(argv + (["--seed", seed] if seed is not None else [])) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @staticmethod
+    def _write(tmp_path, doc):
+        path = tmp_path / f"cfg{len(list(tmp_path.iterdir()))}.json"
+        path.write_text(doc)
+        return path
+
+
 class TestSynthCommand:
     def test_config_file_with_script(self, tmp_path):
         cfg = tmp_path / "synth.json"
@@ -185,7 +234,7 @@ class TestSynthCommand:
     @pytest.mark.parametrize("script, message", [
         ([{"kind": "walk"}], "script phase 0: needs a kind and a duration_s"),
         ([{"kind": "rest", "duration_s": 4.0}, {"kind": "walk", "duration_s": "six"}],
-         "script phase 1: duration_s and angle_deg must be numbers"),
+         "script phase 1: duration_s must be a finite number, got 'six'"),
         ({"kind": "walk"}, "script must be a list of phases"),
     ], ids=["no-duration", "text-duration", "not-a-list"])
     def test_bad_script_phase_exit_1(self, tmp_path, capsys, script, message):
@@ -240,6 +289,22 @@ class TestFactorsCommand:
         assert doc["n_subjects"] == 6
         assert len(doc["contrasts"]) == 4
         assert doc["max_rhat"] > 0
+
+    @pytest.mark.parametrize("args", [
+        ["--draws", 0], ["--draws", 1], ["--draws", 2], ["--draws", 3],
+        ["--warmup", -1], ["--chains", 0], ["--prior-scale", 0],
+        ["--prior-scale", -1], ["--prior-scale", "nan"], ["--prior-scale", "inf"],
+        ["--seed", -1],
+    ], ids=lambda args: "".join(map(str, args)))
+    def test_bad_sampler_arguments_exit_1(self, tmp_path, capsys, args):
+        table = tmp_path / "table.csv"
+        table.write_text("f1,age,sex,disease,subject,environment,aid\n"
+                         "0.9,50,F,HC,0,Indoor,WithAid\n0.8,60,M,mild,1,Outdoor,WithAid\n")
+        out = tmp_path / "posterior.json"
+        assert run(["factors", table, "--draws", 10, "--warmup", 10, *args,
+                    "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_malformed_table_exit_1(self, tmp_path, capsys):
         table = tmp_path / "bad.csv"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gaitpipe import factors, kernels
-from gaitpipe.core import ContractError, EmptySetError, ParseError
+from gaitpipe.core import ConfigurationError, ContractError, EmptySetError, ParseError
 
 HEADER = "f1,age,sex,disease,subject,environment,aid\n"
 
@@ -60,6 +60,19 @@ class TestLoadFactorTable:
     def test_non_finite_numeric_reports_line(self, row):
         with pytest.raises(ParseError, match="line 3"):
             factors.load_factor_table(table(["0.9,50,F,HC,0,Indoor,WithAid", row]))
+
+    @pytest.mark.parametrize("f1", ["1.5", "-0.2", "1.0000001"])
+    def test_f1_outside_unit_interval_reports_line(self, f1):
+        with pytest.raises(ParseError, match="line 3: f1 .* outside"):
+            factors.load_factor_table(table(["0.9,50,F,HC,0,Indoor,WithAid",
+                                             f"{f1},50,F,HC,1,Indoor,WithAid"]))
+
+    def test_f1_bounds_accepted_and_clamped(self):
+        obs = factors.load_factor_table(table(["0,50,F,HC,0,Indoor,WithAid",
+                                               "1,50,F,HC,1,Indoor,WithAid"]))
+        assert [o.f1 for o in obs] == [0.0, 1.0]
+        f1 = factors._pack_data(obs)[0][0]
+        assert f1.tolist() == [factors.F1_CLAMP, 1.0 - factors.F1_CLAMP]
 
     def test_bad_level_values(self):
         for row in ("0.9,50,X,HC,0,Indoor,WithAid",
@@ -298,6 +311,24 @@ class TestSampling:
         a = fit.draws[:, 1]
         assert np.mean(a) == pytest.approx(1.0, abs=0.2)
         assert np.std(a) == pytest.approx(1.0, abs=0.3)
+
+
+class TestSamplerArguments:
+    @pytest.mark.parametrize("kwargs", [
+        {"n_draws": 0}, {"n_draws": 3}, {"n_warmup": -1}, {"n_chains": 0}, {"seed": -1},
+        {"prior_scale": 0.0}, {"prior_scale": -1.0}, {"prior_scale": math.nan},
+        {"prior_scale": math.inf}])
+    def test_refused_before_sampling(self, kwargs):
+        obs, _ = factors.simulate_dataset(n_subjects=3, obs_per_subject=2, seed=0)
+        for sample in (lambda **kw: factors.sample_posterior(obs, **kw),
+                       factors.sample_prior):
+            with pytest.raises(ConfigurationError):
+                sample(**{"n_draws": 4, "n_warmup": 0, **kwargs})
+
+    def test_smallest_run_gives_finite_rhat(self):
+        fit = factors.sample_prior(n_draws=4, n_warmup=0, n_chains=1, seed=1)
+        assert fit.chain_draws.shape[:2] == (1, 4)
+        assert np.all(np.isfinite(fit.rhat))
 
 
 class TestSplitRhat:

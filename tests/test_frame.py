@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gaitpipe import frame, synth
-from gaitpipe.core import AmbiguousDirectionError, InsufficientDataError
-from gaitpipe.segmentation import SegmentationConfig, stride_autocorr
+from gaitpipe.core import AmbiguousDirectionError, InsufficientDataError, PipelineConfig
+from gaitpipe.segmentation import stride_autocorr
 from rotations import rotate_recording
 
 FS = 50.0
@@ -58,7 +58,7 @@ class TestEstimateFrame:
     def test_too_short(self):
         accel = horizontal_oscillation([1.0, 0.0], n=100)
         with pytest.raises(InsufficientDataError):
-            frame.estimate_frame(accel, FS, SegmentationConfig(min_bout_s=3.0))
+            frame.estimate_frame(accel, FS, PipelineConfig(min_bout_s=3.0))
 
     def test_too_short_for_default_min_bout(self):
         accel = horizontal_oscillation([1.0, 0.0], n=99)
@@ -135,7 +135,7 @@ class TestToAnatomical:
 
 
 def ap_autocorr(accel_anatomical, fs):
-    return stride_autocorr(accel_anatomical[:, 1], fs, SegmentationConfig())
+    return stride_autocorr(accel_anatomical[:, 1], fs, PipelineConfig())
 
 
 class TestVerifyFrame:

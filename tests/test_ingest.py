@@ -434,6 +434,13 @@ class TestEnsureUniform:
         assert rec.sample_rate is None
         assert out.t is rec.t and out.accel is rec.accel and out.gyro is rec.gyro
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_2_samples_refused_without_warnings(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientDataError, match="at least 2 samples"):
+                ingest.ensure_uniform(make_rec(np.arange(n) / 50.0))
+
     def test_resamples_irregular(self):
         rng = np.random.default_rng(5)
         t = np.sort(rng.uniform(0, 10, 400))

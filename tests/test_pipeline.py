@@ -61,6 +61,44 @@ class TestPipelineConfig:
         with pytest.raises(ConfigurationError):
             pipeline.process_recording(rec, PipelineConfig(**bad))
 
+    @pytest.mark.parametrize("bad", [
+        {"window_s": "abc"}, {"window_s": None}, {"window_s": True},
+        {"window_s": 10 ** 400}, {"window_s": [0.6]}, {"turn_lowpass_hz": float("nan")},
+        {"resample_hz": "50"}, {"resample_hz": False}, {"wavelet_sign": 1.0},
+        {"wavelet_sign": True}, {"wavelet_axis": 1}, {"wavelet_axis": ["vertical"]},
+    ], ids=lambda bad: ",".join(f"{k}={str(v)[:12]}" for k, v in bad.items()))
+    def test_wrong_types_rejected_when_built(self, bad):
+        key = next(iter(bad))
+        with pytest.raises(ConfigurationError, match=f"^{key} must be"):
+            PipelineConfig(**bad)
+        with pytest.raises(ConfigurationError, match=f"^{key} must be"):
+            PipelineConfig.from_json(bad)
+
+    def test_numpy_scalars_and_ints_accepted(self):
+        cfg = PipelineConfig(window_s=np.float64(0.5), sharp_turn_deg=np.int64(100),
+                             turn_merge_s=0, wavelet_sign=np.int64(-1))
+        assert cfg.to_json()["wavelet_sign"] == -1
+
+    @pytest.mark.parametrize("doc", [[], "window_s", None, 1.0, [{"window_s": 0.6}]])
+    def test_non_object_rejected(self, doc):
+        with pytest.raises(ConfigurationError, match="must be an object"):
+            PipelineConfig.from_json(doc)
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            PipelineConfig().window_s = -1.0
+
+    def test_direct_turn_detection_cannot_take_a_bad_config(self):
+        with pytest.raises(ConfigurationError, match="turn_lowpass_hz"):
+            segmentation.detect_turns(None, PipelineConfig(turn_lowpass_hz=float("nan")))
+
+    @pytest.mark.parametrize("text", ['{"window_s": 0.6', "\xff", ""])
+    def test_unreadable_json_rejected(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ConfigurationError, match="cfg.json"):
+            PipelineConfig.load(path)
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"turn_merge_s": 0.4}\n')

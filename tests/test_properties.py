@@ -1,6 +1,6 @@
 """Property tests of the sharp-turn splitter, the config round trip, the
-event matcher, the run splitter, the turn detector and the two event
-readers."""
+config JSON reader, the event matcher, the run splitter, the turn
+detector and the two event readers."""
 import json
 import tempfile
 from dataclasses import fields
@@ -14,6 +14,7 @@ from scipy.signal import butter, filtfilt
 
 from gaitpipe import evaluate, ingest, pipeline, segmentation, stepdetect
 from gaitpipe.core import (
+    ConfigurationError,
     EVENT_KINDS,
     EVENT_SIDES,
     GaitEvent,
@@ -23,7 +24,8 @@ from gaitpipe.core import (
     SegmentKind,
 )
 from gaitpipe.pipeline import PipelineConfig
-from gaitpipe.segmentation import SegmentationConfig, TurnInterval
+from gaitpipe.segmentation import TurnInterval
+from gaitpipe.synth import Phase, SynthConfig
 
 FS = 50.0
 DURATION_S = 60.0
@@ -65,7 +67,7 @@ sharp_angles = st.floats(1.0, 180.0)
 @given(timelines(), sharp_angles)
 def test_refine_tiles_every_bout(timeline, sharp_deg):
     segments, turns = timeline
-    cfg = SegmentationConfig(sharp_turn_deg=sharp_deg)
+    cfg = PipelineConfig(sharp_turn_deg=sharp_deg)
     out = segmentation.refine_with_turns(segments, turns, cfg)
     for seg in segments:
         inside = [o for o in out if seg.start_s <= o.start_s and o.end_s <= seg.end_s]
@@ -94,7 +96,7 @@ RECORDING = walking_recording()
 @given(timelines(), sharp_angles)
 def test_no_eligible_bout_overlaps_a_sharp_turn(timeline, sharp_deg):
     segments, turns = timeline
-    cfg = SegmentationConfig(sharp_turn_deg=sharp_deg)
+    cfg = PipelineConfig(sharp_turn_deg=sharp_deg)
     refined = segmentation.refine_with_turns(segments, turns, cfg)
     bouts = segmentation.eligible_bouts(RECORDING, refined, cfg)
     for bout in bouts:
@@ -115,16 +117,52 @@ def configs():
                                          stepdetect.AXIS_AP]),
         "wavelet_sign": st.sampled_from([None, -1, 1]),
     }
-    return st.builds(PipelineConfig, **{f.name: special.get(f.name, positive)
-                                        for f in fields(PipelineConfig)}).filter(
-        lambda cfg: cfg.stride_lag_min_s < cfg.stride_lag_max_s
-        and cfg.turn_stop_dps <= cfg.turn_start_dps)
+    return st.fixed_dictionaries({f.name: special.get(f.name, positive)
+                                  for f in fields(PipelineConfig)}).filter(
+        lambda kw: kw["stride_lag_min_s"] < kw["stride_lag_max_s"]
+        and kw["turn_stop_dps"] <= kw["turn_start_dps"]).map(
+            lambda kw: PipelineConfig(**kw))
 
 
 @given(configs())
 def test_config_json_roundtrip(cfg):
     doc = json.loads(json.dumps(cfg.to_json()))
     assert PipelineConfig.from_json(doc) == cfg
+
+
+json_scalars = (st.none() | st.booleans() | st.integers() | st.just(10 ** 400)
+                | st.floats() | st.floats(0.05, 2.0) | st.text(max_size=6)
+                | st.sampled_from([stepdetect.AXIS_VERTICAL, "walk", "rest", "turn"]))
+json_values = st.recursive(
+    json_scalars, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4), max_leaves=8)
+
+
+def config_docs(cls, **special):
+    """JSON objects over the keys of cls, and one unknown key, with any
+    JSON values (special ones for the keys named in special)."""
+    keys = {f.name: special.get(f.name, json_values) for f in fields(cls)}
+    return st.fixed_dictionaries({}, optional=dict(keys, bogus=json_values))
+
+
+phase_docs = config_docs(Phase)
+any_config_doc = st.one_of(
+    st.tuples(st.just(PipelineConfig), json_values | config_docs(PipelineConfig)),
+    st.tuples(st.just(SynthConfig), json_values | config_docs(
+        SynthConfig, script=st.lists(phase_docs | json_values, max_size=3))))
+
+
+@settings(max_examples=400)
+@given(any_config_doc)
+def test_any_json_builds_a_config_or_raises_configuration_error(case):
+    cls, doc = case
+    try:
+        cfg = cls.from_json(doc)
+    except ConfigurationError:
+        return
+    assert isinstance(cfg, cls)
+    if cls is PipelineConfig:
+        assert cls.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
 
 
 def oracle_pairs(detected, reference, window_s):
@@ -282,7 +320,7 @@ def yaw_traces(draw):
     start = draw(st.sampled_from(rates) | st.floats(0.0, 40.0))
     stop = draw(st.sampled_from([r for r in rates if r <= start] or [0.0])
                 | st.floats(0.0, start))
-    cfg = SegmentationConfig(turn_start_dps=start, turn_stop_dps=stop,
+    cfg = PipelineConfig(turn_start_dps=start, turn_stop_dps=stop,
                              turn_merge_s=draw(st.sampled_from([0.0, 0.05, 0.5, 2.0])))
     return yaw, fs, cfg
 

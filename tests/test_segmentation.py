@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gaitpipe import orientation, segmentation, synth
-from gaitpipe.core import ConfigurationError, GravityAlignedRecording, SegmentKind
-from gaitpipe.segmentation import SegmentationConfig
+from gaitpipe.core import (ConfigurationError, GravityAlignedRecording, PipelineConfig,
+                           SegmentKind)
 from gaitpipe.synth import Phase
 
 G = 9.81
@@ -58,21 +58,21 @@ def static_aligned(duration_s, fs=50.0):
 
 class TestConfig:
     def test_defaults_valid(self):
-        SegmentationConfig().validate()
+        PipelineConfig().validate()
 
     def test_gyro_thresh_range(self):
         with pytest.raises(ConfigurationError):
-            SegmentationConfig(gyro_thresh=0.7).validate()
+            PipelineConfig(gyro_thresh=0.7).validate()
         with pytest.raises(ConfigurationError):
-            SegmentationConfig(gyro_thresh=0.1).validate()
+            PipelineConfig(gyro_thresh=0.1).validate()
 
     def test_std_thresh_range(self):
         with pytest.raises(ConfigurationError):
-            SegmentationConfig(std_thresh=0.5).validate()
+            PipelineConfig(std_thresh=0.5).validate()
 
     def test_positive_required(self):
         with pytest.raises(ConfigurationError):
-            SegmentationConfig(window_s=-1.0).validate()
+            PipelineConfig(window_s=-1.0).validate()
 
 
 class TestClassifyWindows:
@@ -109,7 +109,7 @@ class TestClassifyWindows:
         """Scripted walks with rests and turns, cut to lengths that leave
         a tail window (and to one shorter than a window), give the same
         flags as the window-by-window reference."""
-        cfg = SegmentationConfig()
+        cfg = PipelineConfig()
         script = [Phase("rest", 4.0), Phase("walk", 8.0), Phase("turn", 2.0, 120.0),
                   Phase("walk", 6.0), Phase("rest", 3.0), Phase("walk", 5.0)]
         rec, _, _, _ = synth.generate(synth.SynthConfig(
@@ -162,7 +162,7 @@ class TestUnbiasedAutocorr:
             r = direct_autocorr(x)
             peaks, _ = segmentation.find_peaks(r)
             for p in peaks[peaks < 150]:
-                cfg = SegmentationConfig(stride_lag_min_s=(p - 0.5) / fs,
+                cfg = PipelineConfig(stride_lag_min_s=(p - 0.5) / fs,
                                          stride_lag_max_s=p / fs)
                 lag, coef = segmentation.dominant_stride_peak(
                     segmentation.stride_autocorr(x, fs, cfg), fs, cfg)
@@ -199,7 +199,7 @@ class TestSegment:
             synth.SynthConfig(duration_s=11.5, seed=2, script=script))
         from gaitpipe import orientation
         ga = orientation.align_recording(rec)
-        cfg = SegmentationConfig(merge_gap_s=0.05)  # keep the rest distinct
+        cfg = PipelineConfig(merge_gap_s=0.05)  # keep the rest distinct
         segs = segmentation.segment(ga, cfg)
         kinds = [s.kind for s in segs]
         assert SegmentKind.SHORT_REST in kinds
@@ -248,7 +248,7 @@ class TestDetectTurns:
 
 
 def gait_autocorr(x, fs):
-    return segmentation.stride_autocorr(x, fs, SegmentationConfig())
+    return segmentation.stride_autocorr(x, fs, PipelineConfig())
 
 
 class TestVerifyGait:
@@ -259,7 +259,7 @@ class TestVerifyGait:
         # per-step amplitude alternation makes the stride lag dominant
         kmod = np.floor(t / (stride / 2)).astype(int) % 2
         x = G + (2.0 + 0.6 * (-1.0) ** kmod) * np.sin(2 * np.pi * t / (stride / 2))
-        cfg = SegmentationConfig()
+        cfg = PipelineConfig()
         r = segmentation.stride_autocorr(x, fs, cfg)
         peak = segmentation.dominant_stride_peak(r, fs, cfg)
         assert peak is not None
@@ -287,7 +287,7 @@ class TestEligibleBouts:
             synth.SynthConfig(duration_s=duration, seed=seed, script=script))
         from gaitpipe import orientation
         ga = orientation.align_recording(rec)
-        cfg = SegmentationConfig()
+        cfg = PipelineConfig()
         segs = segmentation.segment(ga, cfg)
         turns = segmentation.detect_turns(ga, cfg)
         return ga, segs, turns, cfg
@@ -312,7 +312,7 @@ class TestEligibleBouts:
     def test_turn_below_configured_sharp_angle_keeps_bout(self):
         script = [Phase("walk", 4.0), Phase("turn", 1.0, 120.0), Phase("walk", 5.0)]
         ga, segs, turns, _ = self._run(script, 10.0)
-        cfg = SegmentationConfig(sharp_turn_deg=130.0)
+        cfg = PipelineConfig(sharp_turn_deg=130.0)
         assert any(t.is_sharp() and not t.is_sharp(cfg) for t in turns)
         bouts = segmentation.eligible_bouts(
             ga, segmentation.refine_with_turns(segs, turns, cfg), cfg)

@@ -8,11 +8,12 @@ from gaitpipe.core import (
     IC,
     InsufficientDataError,
     NoCadenceError,
+    PipelineConfig,
     SIDE_LEFT,
     SIDE_RIGHT,
     SIDE_UNKNOWN,
 )
-from gaitpipe.segmentation import SegmentationConfig, stride_autocorr, verify_gait
+from gaitpipe.segmentation import stride_autocorr, verify_gait
 from gaitpipe.stepdetect import StrideEstimate, WaveletParams
 
 
@@ -30,7 +31,7 @@ def walk_anatomical(stride_s=1.2, duration_s=30.0, seed=0, noise=0.0):
 def stride_of(vertical_accel, fs):
     """estimate_stride_duration fed with verify_gait's stride peak of
     vertical_accel, as eligible_bouts finds it."""
-    cfg = SegmentationConfig()
+    cfg = PipelineConfig()
     return stepdetect.estimate_stride_duration(
         verify_gait(stride_autocorr(vertical_accel, fs, cfg), fs, cfg))
 
@@ -38,7 +39,7 @@ def stride_of(vertical_accel, fs):
 def wavelet_params(aa, fs, stride):
     """estimate_wavelet_params fed with the vertical and AP stride
     autocorrelations of aa, as the pipeline feeds it."""
-    cfg = SegmentationConfig()
+    cfg = PipelineConfig()
     return stepdetect.estimate_wavelet_params(
         aa, fs, stride, stride_autocorr(aa[:, 0], fs, cfg),
         stride_autocorr(aa[:, 1], fs, cfg))

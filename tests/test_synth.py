@@ -63,6 +63,52 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="sensor_rotation"):
             synth.SynthConfig(sensor_rotation=q).validate()
 
+    @pytest.mark.parametrize("kwargs", [
+        {"noise_sigma": -0.1}, {"seed": -1}, {"seed": 1.5}, {"seed": True},
+        {"seed": "1"}, {"duration_s": True}, {"duration_s": "60"},
+        {"duration_s": None}, {"duration_s": 10 ** 400}, {"sensor_rotation": None},
+        {"sensor_rotation": [True, False, False, False]},
+        {"sensor_rotation": ["1", "0", "0", "0"]}, {"sensor_rotation": np.array(1.0)},
+        {"script": {"kind": "walk"}}, {"script": [{"kind": "walk", "duration_s": 60.0}]},
+        {"script": [Phase("walk", "60")]}, {"script": [Phase(None, 60.0)]},
+        {"script": [Phase("walk", 60.0, None)]}])
+    def test_bad_values_refused_when_built(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            synth.SynthConfig(**kwargs)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = synth.SynthConfig(duration_s=np.float64(30.0), seed=np.int64(7),
+                                script=[Phase("walk", np.float32(30.0))])
+        assert synth.generate(cfg)[0].session_id == "seed7"
+
+    def test_phase_errors_name_the_phase(self):
+        with pytest.raises(ConfigurationError, match="^script phase 1: unknown phase kind"):
+            synth.SynthConfig(duration_s=10.0, script=[Phase("walk", 5.0),
+                                                       Phase("jump", 5.0)])
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "a SynthConfig must be an object, got list"),
+        ({"seed": -1}, "noise_sigma and seed must not be negative"),
+        ({"script": [{"kind": "walk", "duration_s": 60.0, "speed": 1.0}]},
+         r"script phase 0: unknown Phase keys: \['speed'\]"),
+        ({"script": ["walk"]}, "script phase 0: a Phase must be an object, got str"),
+        ({"script": [{"kind": 1, "duration_s": 60.0}]},
+         "script phase 0: kind must be a string, got 1"),
+    ])
+    def test_from_json_refusals(self, doc, message):
+        with pytest.raises(ConfigurationError, match=message):
+            synth.SynthConfig.from_json(doc)
+
+    def test_from_json_builds_phases(self):
+        cfg = synth.SynthConfig.from_json({"duration_s": 10.0, "script": [
+            {"kind": "rest", "duration_s": 4.0},
+            {"kind": "turn", "duration_s": 6.0, "angle_deg": 90}]})
+        assert cfg.script == [Phase("rest", 4.0), Phase("turn", 6.0, 90)]
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            synth.SynthConfig().seed = -1
+
 
 class TestGenerate:
     def test_default_walk_event_count_and_spacing(self):
