@@ -9,10 +9,12 @@ of acceptance criterion 6 (a 114.6 and a 57.3 degree turn), the 24
 recording of seed 903 (from gaitbench/workloads.py). Each one goes
 through `gaitpipe process` and then `gaitpipe evaluate`; OUTDIR/<name>/
 receives the events, segments and metrics JSON and each command's
-stdout, stderr and exit code. OUTDIR/config/ holds the stdout of
-`gaitpipe config --print-defaults` and the outputs of `gaitpipe process
---config` with that printed file on `synth0`, so the comparison covers
-the config round trip. The checkout's own src/ is the code under
+stdout, stderr and exit code. OUTDIR/aggregate/ holds the outputs of
+`gaitpipe aggregate` over the 37 metrics files, pooled and with
+`--two-stage`. OUTDIR/config/ holds the stdout of `gaitpipe config
+--print-defaults` and the outputs of `gaitpipe process --config` with
+that printed file on `synth0`, so the comparison covers the config
+round trip. The checkout's own src/ is the code under
 test. To compare two checkouts, run this script from each (copying it
 into one that lacks it) and `diff -r` the two output directories.
 """
@@ -32,6 +34,7 @@ from gaitpipe.synth import Phase  # noqa: E402
 import workloads  # noqa: E402
 
 INPUTS = "_inputs"
+AGGREGATE = "aggregate"
 CONFIG = "config"
 
 
@@ -99,6 +102,12 @@ def main(argv) -> int:
                   "--participant", name, "--out", f"{name}/metrics.json"],
                  outdir, name, "evaluate")
         print(name, flush=True)
+    (outdir / AGGREGATE).mkdir()
+    metrics = [f"{name}/metrics.json" for name in names]
+    gaitpipe(["aggregate", *metrics, "--out", f"{AGGREGATE}/pooled.json"],
+             outdir, AGGREGATE, "pooled")
+    gaitpipe(["aggregate", *metrics, "--two-stage", "--out", f"{AGGREGATE}/two_stage.json"],
+             outdir, AGGREGATE, "two_stage")
     (outdir / CONFIG).mkdir()
     gaitpipe(["config", "--print-defaults"], outdir, CONFIG, "defaults")
     gaitpipe(["process", f"{INPUTS}/synth0.csv", "--config", f"{CONFIG}/defaults.stdout",

@@ -15,9 +15,11 @@ from operator import attrgetter
 
 from . import factors as factors_mod
 from . import ingest, pipeline, synth
-from .core import FC, IC, GaitPipeError, PipelineConfig
+from .core import (FC, IC, EmptySetError, GaitPipeError, ParseError, PipelineConfig,
+                   finite_number, read_json)
 from .evaluate import (
     DEFAULT_WINDOW_S,
+    aggregate_across,
     compute_metrics,
     match_events,
     metrics_to_json,
@@ -67,8 +69,7 @@ def _times_by_kind(kind_times) -> dict[str, list[float]]:
 
 
 def cmd_evaluate(args) -> int:
-    with open(args.events, "r", encoding="utf-8") as fh:
-        det_times, det_kinds, _ = pipeline.event_columns_from_json(json.load(fh))
+    det_times, det_kinds, _ = pipeline.event_columns_from_json(read_json(args.events))
     reference = ingest.load_reference_events(args.reference)
     det_times = _times_by_kind(zip(det_kinds, det_times))
     ref_times = _times_by_kind(map(attrgetter("kind", "time_s"), reference))
@@ -88,28 +89,27 @@ def cmd_evaluate(args) -> int:
 def cmd_aggregate(args) -> int:
     per_kind: dict[str, dict[str, list[float]]] = {IC: {}, FC: {}}
     for path in args.metrics:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        pid = doc.get("participant")
-        if pid is None:
-            raise GaitPipeError(f"{path}: metrics file lacks a participant id")
+        doc = read_json(path)
+        if not (isinstance(doc, dict) and doc.get("participant") is not None):
+            raise ParseError(f"{path}: a metrics file must be an object with a participant")
         for kind in (IC, FC):
-            value = doc.get(kind, {}).get(args.metric)
-            if value is None:
-                continue
-            per_kind[kind].setdefault(str(pid), []).append(float(value))
+            entry = {} if doc.get(kind) is None else doc[kind]
+            if not isinstance(entry, dict):
+                raise ParseError(f"{path}: {kind} must be an object or null, "
+                                 f"got {type(entry).__name__}")
+            if entry.get(args.metric) is not None:
+                per_kind[kind].setdefault(str(doc["participant"]), []).append(
+                    finite_number(entry[args.metric], path, f"{kind} {args.metric}"))
+    if not (per_kind[IC] or per_kind[FC]):
+        raise EmptySetError(f"no {args.metric} values in {len(args.metrics)} metrics files")
     out = {"metric": args.metric, "two_stage": args.two_stage}
     for kind in (IC, FC):
         groups = per_kind[kind]
         if not groups:
             out[kind] = None
             continue
-        if args.two_stage:
-            summary = two_stage_aggregate(groups)
-        else:
-            from .evaluate import aggregate_across
-            values = [v for vals in groups.values() for v in vals]
-            summary = aggregate_across(values)
+        summary = (two_stage_aggregate(groups) if args.two_stage
+                   else aggregate_across([v for vals in groups.values() for v in vals]))
         out[kind] = summary_to_json(summary)
     write_json_atomic(out, args.out)
     print(f"aggregated {sum(len(v) for k in per_kind.values() for v in k.values())} "
@@ -216,10 +216,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GaitPipeError as exc:
+    except (OSError, GaitPipeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

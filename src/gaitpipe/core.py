@@ -63,6 +63,28 @@ def finite_real(v) -> bool:
         return False
 
 
+def finite_number(value, where, name) -> float:
+    """The one rule for a number read from a file: CSV text must parse with ``float``
+    to a finite value, and a JSON value pass finite_real; anything else raises
+    ParseError ``<where>: <name> must be a finite number, got <value!r>``."""
+    try:
+        number = float(value) if isinstance(value, str) or finite_real(value) else math.nan
+    except ValueError:                  # text that is no number
+        number = math.nan
+    if not math.isfinite(number):
+        raise ParseError(f"{where}: {name} must be a finite number, got {value!r}")
+    return number
+
+
+def read_json(path, error=ParseError):
+    """The JSON document in the file at path; ``error`` names a file of no UTF-8 JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:  # no UTF-8, no JSON, or nested too deep
+        raise error(f"{path}: {exc}") from None
+
+
 # what each name in a field annotation admits, and how a message says it
 FIELD_TYPES = {
     "float": ("a finite number", finite_real),
@@ -112,11 +134,7 @@ class Config:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return cls.from_json(json.load(fh))
-            except ValueError as exc:   # no JSON, or no UTF-8
-                raise ConfigurationError(f"{path}: {exc}") from None
+        return cls.from_json(read_json(path, ConfigurationError))
 
 
 @dataclass(frozen=True)
@@ -303,7 +321,7 @@ EVENT_SIDES = (SIDE_LEFT, SIDE_RIGHT, SIDE_UNKNOWN)
 def event_columns(times: list, kinds: list, sides: list,
                   where) -> tuple[list[float], list, list]:
     """The time, kind and side columns of a list of events, with each
-    time parsed by ``float``.
+    time read by ``finite_number``.
 
     Every time must be a finite number, every kind in EVENT_KINDS and
     every side in EVENT_SIDES. Each check runs once over its whole
@@ -313,18 +331,14 @@ def event_columns(times: list, kinds: list, sides: list,
     """
     try:
         floats = list(map(float, times))
-        if (all(map(math.isfinite, floats))
+        # float takes a bool, finite_number does not
+        if (bool not in set(map(type, times)) and all(map(math.isfinite, floats))
                 and set(kinds) <= set(EVENT_KINDS) and set(sides) <= set(EVENT_SIDES)):
             return floats, kinds, sides
     except (TypeError, ValueError, OverflowError):  # no number; an unhashable kind
         pass
     for i, (t, kind, side) in enumerate(zip(times, kinds, sides)):
-        try:
-            finite = math.isfinite(float(t))
-        except (TypeError, ValueError, OverflowError):
-            finite = False
-        if not finite:
-            raise ParseError(f"{where(i)}: time_s must be a finite number, got {t!r}")
+        finite_number(t, where(i), "time_s")
         if kind not in EVENT_KINDS:
             raise ParseError(f"{where(i)}: kind must be IC or FC, got {kind!r}")
         if side not in EVENT_SIDES:

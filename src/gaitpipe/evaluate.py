@@ -90,20 +90,17 @@ def match_events(detected, reference, window_s: float = DEFAULT_WINDOW_S,
     if not (math.isfinite(window_s) and window_s > 0):
         raise ContractError("window must be positive and finite")
     half = window_s / 2.0
-    # d - r is monotone in d, so the detections with |d - r| <= half are
-    # the contiguous run starting at the first with d - r >= -half;
-    # searchsorted finds that start up to the rounding of r - half, and
-    # the two while loops below settle it by the exact predicate
-    starts = np.searchsorted(det, ref - half).tolist()
     detected = det.tolist()
     n = len(detected)
     used = [False] * n
     report = MatchReport(kind=kind)
-    for r, i in zip(ref.tolist(), starts):
-        while i > 0 and detected[i - 1] - r >= -half:
-            i -= 1
-        while i < n and detected[i] - r < -half:
-            i += 1
+    # d - r is monotone in d and in r: the detections within half of r run
+    # on from the first with d - r >= -half, which never moves back as r grows
+    lo = 0
+    for r in ref.tolist():
+        while lo < n and detected[lo] - r < -half:
+            lo += 1
+        i = lo
         best, best_err = -1, math.inf
         while i < n and detected[i] - r <= half:
             if not used[i] and abs(detected[i] - r) < best_err:

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import kernels
 from .core import (ConfigurationError, ContractError, DiagnosticsError, EmptySetError,
-                   ParseError)
-from .ingest import csv_rows, finite_float
+                   ParseError, finite_number)
+from .ingest import csv_rows
 
 F1_CLAMP = 1e-4
 SEX_LEVELS = {"F": 0, "M": 1}
@@ -80,10 +80,10 @@ def load_factor_table(source) -> list[FactorObservation]:
     rows = []
     for lineno, row in csv_rows(source, FACTOR_HEADER):
         f1_raw, age_raw, sex, disease, subject, env, aid = (v.strip() for v in row)
-        f1 = finite_float(f1_raw, lineno)
+        f1 = finite_number(f1_raw, f"line {lineno}", "f1")
         if not 0.0 <= f1 <= 1.0:
             raise ParseError(f"line {lineno}: f1 {f1} outside [0, 1]")
-        age = finite_float(age_raw, lineno)
+        age = finite_number(age_raw, f"line {lineno}", "age")
         try:
             subject_idx = int(subject)
         except ValueError as exc:

@@ -10,7 +10,6 @@ import array
 import csv
 import dataclasses
 import io
-import math
 import warnings
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .core import (
     InsufficientDataError,
     ParseError,
     event_columns,
+    finite_number,
     lowpass,
 )
 
@@ -33,11 +33,12 @@ WRITE_BLOCK_ROWS = 8192
 
 
 def _open_text(source):
+    # surrogateescape: a byte of no UTF-8 fails every field rule, which names its line
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
+        return open(source, "r", encoding="utf-8", errors="surrogateescape", newline="")
     if isinstance(source, bytes):
         # newline="" as for a path: csv.reader sees \r, \n and \r\n line ends
-        return io.StringIO(source.decode("utf-8"), newline="")
+        return io.StringIO(source.decode("utf-8", "surrogateescape"), newline="")
     return source
 
 
@@ -50,8 +51,8 @@ def csv_rows(source, header: list[str]):
     number.
     """
     fh = _open_text(source)
+    reader = csv.reader(fh)
     try:
-        reader = csv.reader(fh)
         try:
             first = next(reader)
         except StopIteration:
@@ -65,20 +66,11 @@ def csv_rows(source, header: list[str]):
             if len(row) != n:
                 raise ParseError(f"line {lineno}: expected {n} fields, got {len(row)}")
             yield lineno, row
+    except csv.Error as exc:            # a field past csv's size limit
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
     finally:
         if fh is not source:
             fh.close()
-
-
-def finite_float(text: str, lineno: int) -> float:
-    """Parse one CSV number; nan, inf and non-numbers raise ParseError."""
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise ParseError(f"line {lineno}: {exc}") from None
-    if not math.isfinite(value):
-        raise ParseError(f"line {lineno}: non-finite value {text.strip()!r}")
-    return value
 
 
 def _loadtxt_values(source) -> np.ndarray | None:
@@ -89,25 +81,24 @@ def _loadtxt_values(source) -> np.ndarray | None:
     numpy accepts a number, ``float`` accepts it too and gives the same
     double. numpy refuses the rest (quotes, ``1_0``, a bad number, a
     whitespace-only line, a ``\\r`` line end, a ragged row), and any
-    field count but 7 is refused here; the caller then parses the
-    source again with ``csv_rows``, so that a ParseError keeps its
-    wording and line number.
+    field count but 7 or any non-finite value is refused here; the
+    caller then parses the source again with ``csv_rows``, so that a
+    ParseError keeps its wording and line number.
     """
-    fh = _open_text(source)
-    with fh:
-        first = next(csv.reader(fh), None)
-        if first is None or [h.strip() for h in first] != RECORDING_HEADER:
-            return None
+    with _open_text(source) as fh:
         try:
+            first = next(csv.reader(fh), None)
+            if first is None or [h.strip() for h in first] != RECORDING_HEADER:
+                return None
             with warnings.catch_warnings():
                 # a header-only file is refused below, without the warning
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                         UserWarning)
                 data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
+        except (ValueError, csv.Error):
             return None
     # numpy gives a header-only file shape (0, 1)
-    return data if data.shape[1] == len(RECORDING_HEADER) else None
+    return data if data.shape[1] == len(RECORDING_HEADER) and np.isfinite(data).all() else None
 
 
 def _csv_values(source) -> np.ndarray:
@@ -116,10 +107,8 @@ def _csv_values(source) -> np.ndarray:
     # recording's rows as Python lists take several times its array size
     values = array.array("d")
     for lineno, row in csv_rows(source, RECORDING_HEADER):
-        try:
-            values.extend(map(float, row))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+        where = f"line {lineno}"
+        values.extend([finite_number(v, where, name) for name, v in zip(RECORDING_HEADER, row)])
     return np.frombuffer(values, dtype=float).reshape(-1, 7)
 
 

@@ -81,8 +81,10 @@ class SynthConfig(Config):
             raise ConfigurationError("stride_s outside [0.4, 2.25] s")
         if not 0.0 < self.fc_phase < 0.25 * 1.5:
             raise ConfigurationError("fc_phase outside the 25%-of-max-stride gate")
-        if self.sample_rate_hz <= 0 or self.duration_s <= 0:
-            raise ConfigurationError("duration and sample rate must be positive")
+        samples = self.duration_s * self.sample_rate_hz   # generate() makes round(samples)
+        if self.sample_rate_hz <= 0 or not 0.5 < samples <= 2 ** 31 + 0.5:
+            raise ConfigurationError("sample_rate_hz must be positive and duration_s * "
+                                     "sample_rate_hz must round to 1 to 2**31 samples")
         if self.noise_sigma < 0 or self.seed < 0:
             raise ConfigurationError("noise_sigma and seed must not be negative, got "
                                      f"{self.noise_sigma} and {self.seed}")

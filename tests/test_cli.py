@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -311,6 +312,76 @@ class TestFactorsCommand:
         table.write_text("wrong,header\n1,2\n")
         assert run(["factors", table, "--out", tmp_path / "o.json"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+TRUTH = b"t,kind,side\n1.0,IC,L\n"
+RECORDING = b"t,ax,ay,az,gx,gy,gz\n0,0,0,9.81,0,0,0\n0.02,%s,0,9.81,0,0,0\n"
+FACTORS = b"f1,age,sex,disease,subject,environment,aid\n0.9,%s,F,HC,0,Indoor,WithAid\n"
+OUT_FLAGS = {"process": ["--out-events", "--out-segments"], "evaluate": ["--out"],
+             "aggregate": ["--out"], "factors": ["--out"],
+             "synth": ["--out-recording", "--out-events", "--out-segments"]}
+
+
+class TestBadInputFiles:
+    """Every input file fault ends in one error line and exit 1, and no
+    output is written. A file given as None is a directory."""
+
+    @pytest.mark.parametrize("argv, files, message", [
+        (["evaluate", "d.json", "t.csv"], {"d.json": b'[{"time_s": 1', "t.csv": TRUTH},
+         "d.json: Expecting ',' delimiter"),
+        (["evaluate", "d.json", "t.csv"], {"d.json": b"[" * 100000, "t.csv": TRUTH},
+         "d.json: maximum recursion depth"),
+        (["evaluate", "d.json", "t.csv"],
+         {"d.json": b'[{"time_s": true, "kind": "IC"}]', "t.csv": TRUTH},
+         "event 0: time_s must be a finite number, got True"),
+        (["evaluate", "d.json", "t.csv"], {"d.json": b"[]", "t.csv": b"t,kind,side\n1,I\xffC,L\n"},
+         "line 2: kind must be IC or FC, got 'I\\udcffC'"),
+        (["aggregate", "m.json"], {"m.json": b"[1, 2]"},
+         "m.json: a metrics file must be an object with a participant"),
+        (["aggregate", "m.json"], {"m.json": b'{"participant": "p", "IC": null}'},
+         "no f1 values in 1 metrics files"),
+        (["aggregate", "m.json"], {"m.json": b'{"participant": "p", "IC": [0.5]}'},
+         "m.json: IC must be an object or null, got list"),
+        (["aggregate", "m.json"], {"m.json": b'{"participant": "p", "IC": {"f1": "abc"}}'},
+         "m.json: IC f1 must be a finite number, got 'abc'"),
+        (["aggregate", "m.json"], {"m.json": b'{"participant": "p", "IC": {"f1": NaN}}'},
+         "m.json: IC f1 must be a finite number, got nan"),
+        (["aggregate", "m.json"], {"m.json": b'{"participant": "p", "FC": {"f1": true}}'},
+         "m.json: FC f1 must be a finite number, got True"),
+        (["aggregate", "m.json"], {"m.json": b'{"participant": "p", "IC": {"f1": 0.5}\xff}'},
+         "m.json: 'utf-8' codec can't decode byte 0xff"),
+        (["process", "r.csv"], {"r.csv": RECORDING % b"0\xff"},
+         "line 3: ax must be a finite number, got '0\\udcff'"),
+        (["process", "r.csv"], {"r.csv": RECORDING % b"nan"},
+         "line 3: ax must be a finite number, got 'nan'"),
+        (["process", "r.csv"], {"r.csv": b"t,ax,ay,az,gx,gy,gz\n" + b"1" * 200000},
+         "line 2: field larger than field limit"),
+        (["process", "r.csv"], {"r.csv": None}, "Is a directory"),
+        (["factors", "f.csv"], {"f.csv": FACTORS % b"5\xff0"},
+         "line 2: age must be a finite number, got '5\\udcff0'"),
+        (["synth", "--config", "s.json"], {"s.json": b'{"duration_s": 1e30}'},
+         "must round to 1 to 2**31 samples"),
+        (["synth", "--config", "s.json"], {"s.json": b'{"duration_s": 0.001}'},
+         "must round to 1 to 2**31 samples"),
+    ], ids=["truncated-detections", "nested-detections", "bool-time", "non-utf8-reference",
+            "metrics-list", "metrics-null-entry", "metrics-list-entry", "text-metric",
+            "nan-metric", "bool-metric", "non-utf8-metrics", "non-utf8-recording",
+            "nan-recording", "huge-field-recording", "directory-recording",
+            "non-utf8-factors", "huge-synth", "zero-sample-synth"])
+    def test_error_line(self, tmp_path, capsys, monkeypatch, argv, files, message):
+        monkeypatch.chdir(tmp_path)
+        for name, data in files.items():
+            if data is None:
+                Path(name).mkdir()
+            else:
+                Path(name).write_bytes(data)
+        outputs = [f"out{i}" for i in range(len(OUT_FLAGS[argv[0]]))]
+        flags = [arg for pair in zip(OUT_FLAGS[argv[0]], outputs) for arg in pair]
+        assert run(argv + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not any(map(Path.exists, map(Path, outputs)))
 
 
 class TestConfigCommand:

@@ -61,6 +61,15 @@ class TestLoadFactorTable:
         with pytest.raises(ParseError, match="line 3"):
             factors.load_factor_table(table(["0.9,50,F,HC,0,Indoor,WithAid", row]))
 
+    @pytest.mark.parametrize("row, message", [
+        ("nan,50,F,HC,1,Indoor,WithAid", "line 3: f1 must be a finite number, got 'nan'"),
+        ("0.9,old,F,HC,1,Indoor,WithAid", "line 3: age must be a finite number, got 'old'"),
+    ])
+    def test_bad_number_names_line_and_column(self, row, message):
+        with pytest.raises(ParseError) as exc:
+            factors.load_factor_table(table(["0.9,50,F,HC,0,Indoor,WithAid", row]))
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("f1", ["1.5", "-0.2", "1.0000001"])
     def test_f1_outside_unit_interval_reports_line(self, f1):
         with pytest.raises(ParseError, match="line 3: f1 .* outside"):

@@ -152,6 +152,19 @@ class TestLoaderPaths:
         assert caught == []
         assert rec.accel.shape == (0, 3)
 
+    @pytest.mark.parametrize("column", range(7))
+    def test_non_finite_value_names_line_and_column(self, column, tmp_path):
+        fields = ROW_B.split(",")
+        fields[column] = "nan"
+        text = f"{HEADER}\n{ROW_A}\n{','.join(fields)}\n"
+        path = tmp_path / "rec.csv"
+        path.write_text(text)
+        message = f"line 3: {ingest.RECORDING_HEADER[column]} must be a finite number, got 'nan'"
+        for source in (text.encode(), path, io.StringIO(text, newline="")):
+            with pytest.raises(ParseError) as exc:
+                ingest.load_recording(source)
+            assert str(exc.value) == message
+
     def test_parse_error_keeps_line_number(self, tmp_path):
         path = tmp_path / "rec.csv"
         rows = [f"{i / 50.0!r},0,0,9.81,0,0,0" for i in range(2000)]

@@ -267,8 +267,10 @@ class TestEventJson:
         ([{"time_s": 0.5, "kind": "IC", "side": "L"}, {"time_s": 0.6, "kind": "FC"}],
          ([0.5, 0.6], ["IC", "FC"], ["L", "U"])),
         ([], ([], [], [])),
-        ([{"time_s": "0.5", "kind": "IC"}, {"time_s": True, "kind": "FC", "side": "R"}],
+        ([{"time_s": "0.5", "kind": "IC"}, {"time_s": 1, "kind": "FC", "side": "R"}],
          ([0.5, 1.0], ["IC", "FC"], ["U", "R"])),
+        ([{"time_s": 0.5, "kind": "IC"}, {"time_s": True, "kind": "FC"}],
+         "event 1: time_s must be a finite number, got True"),
         ([{"time_s": 0.5, "kind": "IC"}, {"kind": "FC"}],
          "event 1: time_s must be a finite number, got None"),
         ([{"time_s": 0.5, "kind": "IC"}, {"time_s": "x", "kind": "FC"}],
@@ -285,7 +287,7 @@ class TestEventJson:
         ([{"time_s": 0.5, "kind": "XX"}, 7], "event 0: kind must be IC or FC, got 'XX'"),
         ([{"time_s": 10 ** 400, "kind": "IC"}],
          f"event 0: time_s must be a finite number, got {10 ** 400!r}"),
-    ], ids=["valid", "empty", "number-like-times", "missing-time", "text-time",
+    ], ids=["valid", "empty", "number-like-times", "bool-time", "missing-time", "text-time",
             "inf-time", "missing-kind", "list-kind", "bad-side", "array-entry",
             "not-a-list", "bad-kind-before-non-object", "int-beyond-float"])
     def test_column_pass_equals_entry_loop(self, doc, expected):

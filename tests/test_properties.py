@@ -1,7 +1,10 @@
 """Property tests of the sharp-turn splitter, the config round trip, the
 config JSON reader, the event matcher, the run splitter, the turn
-detector and the two event readers."""
+detector, the two event readers and every reader of an input file."""
+import contextlib
+import io
 import json
+import math
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -12,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import butter, filtfilt
 
-from gaitpipe import evaluate, ingest, pipeline, segmentation, stepdetect
+from gaitpipe import cli, evaluate, factors, ingest, pipeline, segmentation, stepdetect
 from gaitpipe.core import (
     ConfigurationError,
     EVENT_KINDS,
     EVENT_SIDES,
     GaitEvent,
+    GaitPipeError,
     GravityAlignedRecording,
     ParseError,
     Segment,
@@ -396,3 +400,79 @@ def test_detections_json_round_trip_and_first_bad_event(evs, data):
             doc[k][key] = bad
     with pytest.raises(ParseError, match=f"^event {min(rows)}: "):
         pipeline.events_from_json(doc)
+
+
+# pieces of the files a phone or another tool may export: numbers, the
+# non-finite and boolean words, 400 digits, level names, a quote and
+# bytes that are no UTF-8
+csv_fields = st.sampled_from([
+    b"0.5", b"1", b"-2e3", b"nan", b"inf", b"-Infinity", b"1e400", b"9" * 400, b"true",
+    b"null", b"", b" ", b"\xff", b"0.\xc3", b'"1', b"IC", b"FC", b"L", b"U", b"F", b"M",
+    b"HC", b"mild", b"Indoor", b"WithAid"]) | st.binary(max_size=4)
+
+
+def csv_files(header, *valid_rows):
+    """The bytes of a CSV: the header after a few bytes or none, then
+    rows that are valid or of about as many fields as the header names."""
+    n = len(header)
+    row = (st.sampled_from(valid_rows)
+           | st.lists(csv_fields, min_size=n - 1, max_size=n + 1).map(b",".join))
+    line = st.tuples(row, st.sampled_from([b"\n", b"\r\n", b"\r"])).map(b"".join)
+    junk = st.just(b"") | st.binary(max_size=4)
+    head = junk.map(lambda junk: junk + ",".join(header).encode() + b"\n")
+    return st.tuples(head, st.lists(line, max_size=5).map(b"".join)).map(b"".join)
+
+
+@settings(max_examples=300)
+@given(csv_files(ingest.RECORDING_HEADER, b"0,0.1,0.2,9.8,0,0,0", b"0.02,0,0,9.8,0.1,0,0"),
+       csv_files(ingest.EVENTS_HEADER, b"0.5,IC,L", b"1.1,FC,R"),
+       csv_files(factors.FACTOR_HEADER, b"0.9,50,F,HC,0,Indoor,WithAid",
+                 b"0.8,61,M,mild,1,Outdoor,WithoutAid"))
+def test_any_csv_bytes_load_or_raise_gaitpipe_error(recording, reference, table):
+    for load, source in [(ingest.load_recording, recording),
+                         (ingest.load_reference_events, reference),
+                         (factors.load_factor_table, table)]:
+        with contextlib.suppress(GaitPipeError):
+            load(source)
+
+
+event_objects = st.fixed_dictionaries(
+    {"time_s": st.floats(0, 1e3) | st.booleans() | json_values,
+     "kind": st.sampled_from(EVENT_KINDS) | json_values},
+    optional={"side": st.sampled_from(EVENT_SIDES) | json_values})
+detections_docs = json_values | st.lists(event_objects | json_values, max_size=4)
+
+
+@settings(max_examples=300)
+@given(detections_docs)
+def test_any_json_gives_event_columns_or_parse_error(doc):
+    try:
+        times, kinds, sides = pipeline.event_columns_from_json(doc)
+    except GaitPipeError:
+        return
+    assert all(type(t) is float and math.isfinite(t) for t in times)
+    assert not any(isinstance(d.get("time_s"), bool) for d in doc)
+
+
+kind_entries = st.fixed_dictionaries({}, optional={"f1": st.floats(0, 1) | json_values})
+metrics_objects = st.fixed_dictionaries(
+    {"participant": st.sampled_from(["p1", "p2"]) | json_values},
+    optional={"IC": kind_entries | json_values, "FC": kind_entries | json_values})
+metrics_files = st.lists(metrics_objects | json_values, min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(metrics_objects, min_size=1, max_size=3) | metrics_files, st.booleans())
+def test_any_json_metrics_aggregate_or_end_in_an_error_line(docs, two_stage):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"m{i}.json" for i in range(len(docs))]
+        for path, doc in zip(paths, docs):
+            path.write_text(json.dumps(doc))
+        out = Path(tmp) / "summary.json"
+        argv = ["aggregate", *map(str, paths), "--out", str(out)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--two-stage"] * two_stage)
+        assert code in (0, 1)
+        assert out.exists() == (code == 0)
+        assert err.getvalue().startswith("error: ") == (code == 1)

@@ -63,6 +63,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="sensor_rotation"):
             synth.SynthConfig(sensor_rotation=q).validate()
 
+    @pytest.mark.parametrize("duration_s", [1e30, 0.001])
+    def test_sample_count_outside_1_to_2_31_refused(self, duration_s):
+        # 1e30 s overflowed numpy in generate(); 0.001 s made 0 samples
+        with pytest.raises(ConfigurationError, match=r"round to 1 to 2\*\*31 samples"):
+            synth.SynthConfig(duration_s=duration_s)
+
     @pytest.mark.parametrize("kwargs", [
         {"noise_sigma": -0.1}, {"seed": -1}, {"seed": 1.5}, {"seed": True},
         {"seed": "1"}, {"duration_s": True}, {"duration_s": "60"},
