@@ -1,6 +1,7 @@
 """Timings of the hot kernels: the CSV load, the Madgwick loop, the
-anatomical rotation, the two event readers, the event matcher and the
-MCMC chain, and the peak memory of one ``process_recording`` call.
+anatomical rotation, the event readers, the event matcher, a whole
+``gaitpipe evaluate`` and the MCMC chain, and the peak memory of one
+``process_recording`` call.
 
 Run with:  python3 benchmarks/bench_kernels.py
 
@@ -12,13 +13,22 @@ chains advanced together. The memory figure is the peak of the
 allocations ``tracemalloc`` sees (numpy arrays included) while
 ``process_recording`` runs on a 1 h ``synth`` walk, i.e. MB per hour of
 recording. The layers of ``gaitpipe evaluate`` that grow with the
-event count run on that walk: the reference load reads its reference
-CSV, the detections reader takes the loaded JSON document of its
-detected events, and the matcher pairs each kind's reference times with
-the same times moved by 20 ms Gaussian noise, as detections.
+event count run on that walk: the reference readers (into columns, and
+into GaitEvents) read its reference CSV, the detections reader takes
+the loaded JSON document of its detected events, and the matcher pairs
+each kind's reference times with the same times moved by 20 ms Gaussian
+noise, as detections. ``gaitpipe evaluate`` then scores the detected
+events against the reference in-process, ``EVALUATE_CALLS`` times while
+the walk and its results stay alive, as in the benchmark; a
+``gc.callbacks`` probe counts the full (generation-2) garbage
+collections those calls pay.
 """
+import contextlib
+import gc
+import io
 import json
 import math
+import statistics
 import tempfile
 import time
 import tracemalloc
@@ -26,8 +36,10 @@ from pathlib import Path
 
 import numpy as np
 
-from gaitpipe import evaluate, factors, frame, ingest, kernels, pipeline, synth
+from gaitpipe import cli, evaluate, factors, frame, ingest, kernels, pipeline, synth
 from gaitpipe.core import FC, IC, ImuRecording
+
+EVALUATE_CALLS = 30
 
 
 def best_of(fn, *args, repeats=3):
@@ -76,7 +88,9 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "reference.csv"
         ingest.write_reference_events(events, path)
+        load_cols = best_of(ingest.reference_event_columns, path)
         load_ev = best_of(ingest.load_reference_events, path)
+    print(f"reference_event_columns ({len(events)} rows): {load_cols * 1e3:9.1f} ms")
     print(f"load_reference_events ({len(events)} rows): {load_ev * 1e3:9.1f} ms")
 
     doc = json.loads(json.dumps(pipeline.events_to_json(detected)))
@@ -91,6 +105,10 @@ def main():
     match = best_of(lambda: [evaluate.match_events(det, ref) for det, ref in pairs])
     print(f"match_events (IC and FC, {len(events)} references): {match * 1e3:9.1f} ms")
 
+    seconds, full = time_evaluate(detected, events)
+    print(f"gaitpipe evaluate ({len(detected)} detections, {EVALUATE_CALLS} calls): "
+          f"median {statistics.median(seconds) * 1e3:.1f} ms, max {max(seconds) * 1e3:.1f} ms, "
+          f"{full} full garbage collections")
 
     obs, _ = factors.simulate_dataset(n_subjects=60, obs_per_subject=10,
                                       seed=100)
@@ -105,6 +123,35 @@ def main():
                  *columns, factors.DEFAULT_PRIOR_SCALE)
     print(f"mcmc chain ({len(obs)} obs, dim {dim}, {n_chains} chains, "
           f"{iters} iterations): {ch / iters * 1e3:.3f} ms per iteration")
+
+
+def time_evaluate(detected, reference) -> tuple[list[float], int]:
+    """The seconds of each of EVALUATE_CALLS in-process ``gaitpipe
+    evaluate`` calls, and the count of full collections during them."""
+    full = 0
+
+    def count_full(phase, info):
+        nonlocal full
+        full += phase == "stop" and info["generation"] == 2
+
+    seconds = []
+    with tempfile.TemporaryDirectory() as tmp:
+        det_path, ref_path, out = (str(Path(tmp) / name)
+                                   for name in ("events.json", "reference.csv", "metrics.json"))
+        cli.write_text_atomic(pipeline.events_json_text(detected), det_path)
+        ingest.write_reference_events(reference, ref_path)
+        gc.callbacks.append(count_full)
+        try:
+            for _ in range(EVALUATE_CALLS):
+                t0 = time.perf_counter()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(["evaluate", det_path, ref_path, "--out", out])
+                seconds.append(time.perf_counter() - t0)
+                if code:
+                    raise SystemExit(f"gaitpipe evaluate exited with {code}")
+        finally:
+            gc.callbacks.remove(count_full)
+    return seconds, full
 
 
 if __name__ == "__main__":

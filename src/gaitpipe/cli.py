@@ -11,12 +11,13 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
-from operator import attrgetter
+
+import numpy as np
 
 from . import factors as factors_mod
 from . import ingest, pipeline, synth
-from .core import (FC, IC, EmptySetError, GaitPipeError, ParseError, PipelineConfig,
-                   finite_number, read_json)
+from .core import (FC, IC, ContractError, EmptySetError, GaitPipeError, ParseError,
+                   PipelineConfig, finite_number, read_json)
 from .evaluate import (
     DEFAULT_WINDOW_S,
     aggregate_across,
@@ -29,12 +30,13 @@ from .evaluate import (
 )
 
 
-def write_json_atomic(doc, path) -> None:
+def write_text_atomic(text: str, path) -> None:
+    """Write text and a final newline to path through a temp file and a rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+            fh.write(text)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -43,11 +45,21 @@ def write_json_atomic(doc, path) -> None:
         raise
 
 
+def write_json_atomic(doc, path) -> None:
+    """Write doc as indented JSON; a non-finite number, which JSON cannot
+    hold, raises ContractError and writes nothing."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ContractError(f"{path}: {exc}") from None
+    write_text_atomic(text, path)
+
+
 def cmd_process(args) -> int:
     config = PipelineConfig.load(args.config) if args.config else PipelineConfig()
     rec = ingest.load_recording(args.recording)
     result = pipeline.process_recording(rec, config)
-    write_json_atomic(pipeline.events_to_json(result.events), args.out_events)
+    write_text_atomic(pipeline.events_json_text(result.events), args.out_events)
     write_json_atomic(pipeline.segments_to_json(result.segments), args.out_segments)
     skipped = [b for b in result.bouts if b.skipped_reason]
     for b in skipped:
@@ -58,21 +70,20 @@ def cmd_process(args) -> int:
     return 0
 
 
-def _times_by_kind(kind_times) -> dict[str, list[float]]:
-    """The sorted times of each kind, from (kind, time) pairs in one pass."""
-    times: dict[str, list[float]] = {IC: [], FC: []}
-    for kind, t in kind_times:
-        times[kind].append(t)
-    for t in times.values():
-        t.sort()
-    return times
+def _times_by_kind(times: list[float], kinds: list[str]) -> dict[str, np.ndarray]:
+    """The sorted times of each kind. The sort is stable, so equal times
+    (-0.0 and 0.0) keep their order in the file."""
+    times, kinds = np.array(times, dtype=float), np.array(kinds, dtype=str)
+    return {kind: np.sort(times[kinds == kind], kind="stable") for kind in (IC, FC)}
 
 
 def cmd_evaluate(args) -> int:
+    # columns all the way: a GaitEvent per event would keep ~13k objects
+    # that the garbage collector tracks alive through a 1 h walk's call
     det_times, det_kinds, _ = pipeline.event_columns_from_json(read_json(args.events))
-    reference = ingest.load_reference_events(args.reference)
-    det_times = _times_by_kind(zip(det_kinds, det_times))
-    ref_times = _times_by_kind(map(attrgetter("kind", "time_s"), reference))
+    ref_times, ref_kinds, _ = ingest.reference_event_columns(args.reference)
+    det_times = _times_by_kind(det_times, det_kinds)
+    ref_times = _times_by_kind(ref_times, ref_kinds)
     out = {"window_s": args.window, "participant": args.participant}
     for kind in (IC, FC):
         report = match_events(det_times[kind], ref_times[kind],

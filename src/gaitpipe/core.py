@@ -76,6 +76,16 @@ def finite_number(value, where, name) -> float:
     return number
 
 
+def integer(text: str, where, name) -> int:
+    """The one rule for an integer read from a CSV field: the text must parse
+    with ``int``; anything else raises ParseError ``<where>: <name> must be an
+    integer, got <text!r>``."""
+    try:
+        return int(text)
+    except ValueError:                  # no integer, or past int's digit limit
+        raise ParseError(f"{where}: {name} must be an integer, got {text!r}") from None
+
+
 def read_json(path, error=ParseError):
     """The JSON document in the file at path; ``error`` names a file of no UTF-8 JSON."""
     try:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .core import (ConfigurationError, ContractError, DiagnosticsError, EmptySetError,
-                   ParseError, finite_number)
+                   ParseError, finite_number, integer)
 from .ingest import csv_rows
 
 F1_CLAMP = 1e-4
@@ -84,10 +84,7 @@ def load_factor_table(source) -> list[FactorObservation]:
         if not 0.0 <= f1 <= 1.0:
             raise ParseError(f"line {lineno}: f1 {f1} outside [0, 1]")
         age = finite_number(age_raw, f"line {lineno}", "age")
-        try:
-            subject_idx = int(subject)
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+        subject_idx = integer(subject, f"line {lineno}", "subject")
         if sex not in SEX_LEVELS:
             raise ParseError(f"line {lineno}: sex must be F or M")
         if disease not in DISEASE_LEVELS:

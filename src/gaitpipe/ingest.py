@@ -30,6 +30,8 @@ from .core import (
 RECORDING_HEADER = ["t", "ax", "ay", "az", "gx", "gy", "gz"]
 EVENTS_HEADER = ["t", "kind", "side"]
 WRITE_BLOCK_ROWS = 8192
+# the most of a bad first line that a ParseError echoes
+HEADER_ECHO_CHARS = 80
 
 
 def _open_text(source):
@@ -58,7 +60,10 @@ def csv_rows(source, header: list[str]):
         except StopIteration:
             raise ParseError("empty file: missing header") from None
         if [h.strip() for h in first] != header:
-            raise ParseError(f"bad header {first!r}, expected {header}")
+            shown = repr(first)
+            if len(shown) > HEADER_ECHO_CHARS:    # a binary or wrong file
+                shown = shown[:HEADER_ECHO_CHARS - 3] + "..."
+            raise ParseError(f"bad header {shown}, expected {header}")
         n = len(header)
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -142,8 +147,9 @@ def write_recording(rec: ImuRecording, path) -> None:
                           for row in data[start:start + WRITE_BLOCK_ROWS].tolist())
 
 
-def load_reference_events(source) -> list[GaitEvent]:
-    """Parse a reference event CSV (``t,kind,side``) into GaitEvents.
+def reference_event_columns(source) -> tuple[list[float], list[str], list[str]]:
+    """The time, kind and side columns of a reference event CSV
+    (``t,kind,side``), with no per-event object built.
 
     Kinds and sides may be padded with spaces. The columns are checked
     by ``event_columns``; a ParseError names the first bad line, whether
@@ -164,7 +170,12 @@ def load_reference_events(source) -> list[GaitEvent]:
         # a bad value on an earlier line comes first
         event_columns(times, kinds, sides, line)
         raise
-    return list(map(GaitEvent, *event_columns(times, kinds, sides, line)))
+    return event_columns(times, kinds, sides, line)
+
+
+def load_reference_events(source) -> list[GaitEvent]:
+    """Parse a reference event CSV into GaitEvents; see reference_event_columns."""
+    return list(map(GaitEvent, *reference_event_columns(source)))
 
 
 def write_reference_events(events, path) -> None:

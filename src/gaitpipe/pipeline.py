@@ -100,6 +100,19 @@ def events_to_json(events: list[GaitEvent]) -> list[dict]:
     return [e.to_json() for e in events]
 
 
+def events_json_text(events: list[GaitEvent]) -> str:
+    """``json.dumps(events_to_json(events), indent=2)`` for events with
+    finite float times and kinds and sides from EVENT_KINDS and
+    EVENT_SIDES, as process_recording returns them, formatted in one
+    pass: ``indent`` selects json's pure-Python encoder, which takes
+    about ten times as long on a 1 h walk."""
+    if not events:
+        return "[]"
+    return "[\n" + ",\n".join(
+        f'  {{\n    "time_s": {float(e.time_s)!r},\n    "kind": "{e.kind}",\n'
+        f'    "side": "{e.side}"\n  }}' for e in events) + "\n]"
+
+
 def segments_to_json(segments: list[Segment]) -> list[dict]:
     return [s.to_json() for s in segments]
 

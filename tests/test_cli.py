@@ -1,9 +1,10 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from gaitpipe import cli
+from gaitpipe import cli, ingest, pipeline
 from gaitpipe.pipeline import PipelineConfig
 
 
@@ -317,6 +318,9 @@ class TestFactorsCommand:
 TRUTH = b"t,kind,side\n1.0,IC,L\n"
 RECORDING = b"t,ax,ay,az,gx,gy,gz\n0,0,0,9.81,0,0,0\n0.02,%s,0,9.81,0,0,0\n"
 FACTORS = b"f1,age,sex,disease,subject,environment,aid\n0.9,%s,F,HC,0,Indoor,WithAid\n"
+# finite f1 values whose mean and median overflow the float range
+OVERFLOWING_METRICS = {"a.json": b'{"participant": "a", "IC": {"f1": 1e308}}',
+                       "b.json": b'{"participant": "b", "IC": {"f1": 1.5e308}}'}
 OUT_FLAGS = {"process": ["--out-events", "--out-segments"], "evaluate": ["--out"],
              "aggregate": ["--out"], "factors": ["--out"],
              "synth": ["--out-recording", "--out-events", "--out-segments"]}
@@ -363,11 +367,20 @@ class TestBadInputFiles:
          "must round to 1 to 2**31 samples"),
         (["synth", "--config", "s.json"], {"s.json": b'{"duration_s": 0.001}'},
          "must round to 1 to 2**31 samples"),
+        (["aggregate", "a.json", "b.json"], OVERFLOWING_METRICS,
+         "aggregate: median, mean, ci95_lo, ci95_hi not finite"),
+        (["aggregate", "a.json", "b.json", "--two-stage"], OVERFLOWING_METRICS,
+         "aggregate: median, mean, ci95_lo, ci95_hi not finite"),
+        (["aggregate", "a.json", "b.json", "--two-stage"],
+         {"a.json": b'{"participant": "a", "IC": {"f1": 1e308}}',
+          "b.json": b'{"participant": "a", "IC": {"f1": 1.5e308}}'},
+         "participant 'a': median not finite"),
     ], ids=["truncated-detections", "nested-detections", "bool-time", "non-utf8-reference",
             "metrics-list", "metrics-null-entry", "metrics-list-entry", "text-metric",
             "nan-metric", "bool-metric", "non-utf8-metrics", "non-utf8-recording",
             "nan-recording", "huge-field-recording", "directory-recording",
-            "non-utf8-factors", "huge-synth", "zero-sample-synth"])
+            "non-utf8-factors", "huge-synth", "zero-sample-synth", "overflowing-metrics",
+            "overflowing-metrics-two-stage", "overflowing-participant"])
     def test_error_line(self, tmp_path, capsys, monkeypatch, argv, files, message):
         monkeypatch.chdir(tmp_path)
         for name, data in files.items():
@@ -382,6 +395,37 @@ class TestBadInputFiles:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
         assert not any(map(Path.exists, map(Path, outputs)))
+
+    @pytest.mark.parametrize("data", [
+        random.Random(0).randbytes(300_000).translate(None, b"\r\n"), b"x," * 50_000,
+    ], ids=["binary", "long-line"])
+    def test_bad_header_error_line_is_short(self, tmp_path, capsys, data):
+        path = tmp_path / "r.csv"
+        path.write_bytes(data)
+        assert run(["process", path, "--out-events", tmp_path / "e.json",
+                    "--out-segments", tmp_path / "s.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad header [") and len(err) < 200
+
+
+class TestEvaluateCommand:
+    def test_builds_no_gait_event(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a GaitEvent was built")
+
+        monkeypatch.setattr(ingest, "GaitEvent", refuse)
+        monkeypatch.setattr(pipeline, "GaitEvent", refuse)
+        detections, truth = tmp_path / "d.json", tmp_path / "t.csv"
+        detections.write_text('[{"time_s": 1.0, "kind": "IC", "side": "L"}, '
+                              '{"time_s": 1.6, "kind": "FC"}]')
+        truth.write_bytes(b"t,kind,side\n1.02,IC,L\n1.6,FC,R\n2.5,IC,R\n")
+        with pytest.raises(AssertionError):     # the patch reaches the readers
+            ingest.load_reference_events(truth)
+        out = tmp_path / "m.json"
+        assert run(["evaluate", detections, truth, "--out", out]) == 0
+        doc = json.loads(out.read_text())
+        assert [(doc[k]["tp"], doc[k]["fp"], doc[k]["fn"]) for k in ("IC", "FC")] == \
+            [(1, 0, 1), (1, 0, 0)]
 
 
 class TestConfigCommand:

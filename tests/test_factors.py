@@ -64,6 +64,10 @@ class TestLoadFactorTable:
     @pytest.mark.parametrize("row, message", [
         ("nan,50,F,HC,1,Indoor,WithAid", "line 3: f1 must be a finite number, got 'nan'"),
         ("0.9,old,F,HC,1,Indoor,WithAid", "line 3: age must be a finite number, got 'old'"),
+        ("0.9,50,F,HC,x,Indoor,WithAid", "line 3: subject must be an integer, got 'x'"),
+        ("0.9,50,F,HC,1.0,Indoor,WithAid", "line 3: subject must be an integer, got '1.0'"),
+        ("0.9,50,F,HC,1e400,Indoor,WithAid",
+         "line 3: subject must be an integer, got '1e400'"),
     ])
     def test_bad_number_names_line_and_column(self, row, message):
         with pytest.raises(ParseError) as exc:

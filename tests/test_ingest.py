@@ -221,6 +221,46 @@ class TestWriteRecording:
         assert got.read_bytes() == expected.read_bytes()
 
 
+# Each reference CSV case reads to the events, or to a ParseError naming
+# the line, that the row-by-row reader gave before its rules moved into
+# core.event_columns; the multi-fault case pins that the first bad line
+# is named, whatever its fault.
+REFERENCE_CASES = [
+    ("t,kind,side\n0.5,IC,L\n0.62,FC,R\n1.1,IC,U\n",
+     [(0.5, "IC", "L"), (0.62, "FC", "R"), (1.1, "IC", "U")]),
+    ("", "empty file: missing header"),
+    ("time,kind,side\n0.5,IC,L\n",
+     "bad header ['time', 'kind', 'side'], expected ['t', 'kind', 'side']"),
+    ("t,kind,side\n0.5,IC,L\n0.62,FC\n", "line 3: expected 3 fields, got 2"),
+    ("t,kind,side\n0.5,IC,L\n0.62,FC,R,1\n", "line 3: expected 3 fields, got 4"),
+    ("t,kind,side\n0.5,IC,L,0.62\nFC,R\n", "line 2: expected 3 fields, got 4"),
+    ("t,kind,side\n0.5,IC,L\n0.62,XX,R\n", "line 3: kind must be IC or FC, got 'XX'"),
+    ("t,kind,side\n0.5,IC,L\n0.62,FC,Q\n",
+     "line 3: side must be L, R, or U, got 'Q'"),
+    ("t,kind,side\n0.5,IC,L\nnan,FC,R\n",
+     "line 3: time_s must be a finite number, got 'nan'"),
+    ("t,kind,side\n0.5,IC,L\n-inf,FC,R\n",
+     "line 3: time_s must be a finite number, got '-inf'"),
+    ("t,kind,side\n0.5,IC,L\nabc,FC,R\n",
+     "line 3: time_s must be a finite number, got 'abc'"),
+    ("t,kind,side\n0.5,IC,L\n,FC,R\n", "line 3: time_s must be a finite number, got ''"),
+    ("t,kind,side\n\n0.5,IC,L\n\n\n0.62,FC,R\n\n", [(0.5, "IC", "L"), (0.62, "FC", "R")]),
+    ("t,kind,side\r\n0.5,IC,L\r\n0.62,FC,R\r\n", [(0.5, "IC", "L"), (0.62, "FC", "R")]),
+    ("t,kind,side\r0.5,IC,L\r0.62,FC,R\r", [(0.5, "IC", "L"), (0.62, "FC", "R")]),
+    (" t , kind , side \n 0.5 , IC , L \n0.62,FC ,R\n",
+     [(0.5, "IC", "L"), (0.62, "FC", "R")]),
+    ("t,kind,side\n0.5,IC,L\n0.62,FC,R\n0.7, XX,R\n",
+     "line 4: kind must be IC or FC, got 'XX'"),
+    ("t,kind,side\n\"0.5\",\"IC\",L\n", [(0.5, "IC", "L")]),
+    ("t,kind,side\n0.5,XX,L\n0.62,FC\n", "line 2: kind must be IC or FC, got 'XX'"),
+]
+REFERENCE_CASE_IDS = ["valid", "empty", "bad-header", "two-fields", "four-fields",
+                      "fields-shifted-across-rows", "bad-kind", "bad-side", "nan-time",
+                      "inf-time", "non-number-time", "empty-time", "blank-lines", "crlf",
+                      "cr", "padded-fields", "padded-bad-kind", "quoted-fields",
+                      "bad-kind-before-two-fields"]
+
+
 class TestReferenceEvents:
     def test_roundtrip(self, tmp_path):
         from gaitpipe.core import GaitEvent
@@ -241,43 +281,7 @@ class TestReferenceEvents:
         with pytest.raises(ParseError, match="line 3"):
             ingest.load_reference_events(csv)
 
-    # Each case reads to the events, or to a ParseError naming the line,
-    # that the row-by-row reader gave before its rules moved into
-    # core.event_columns; the multi-fault case pins that the first bad
-    # line is named, whatever its fault.
-    @pytest.mark.parametrize("text, expected", [
-        ("t,kind,side\n0.5,IC,L\n0.62,FC,R\n1.1,IC,U\n",
-         [(0.5, "IC", "L"), (0.62, "FC", "R"), (1.1, "IC", "U")]),
-        ("", "empty file: missing header"),
-        ("time,kind,side\n0.5,IC,L\n",
-         "bad header ['time', 'kind', 'side'], expected ['t', 'kind', 'side']"),
-        ("t,kind,side\n0.5,IC,L\n0.62,FC\n", "line 3: expected 3 fields, got 2"),
-        ("t,kind,side\n0.5,IC,L\n0.62,FC,R,1\n", "line 3: expected 3 fields, got 4"),
-        ("t,kind,side\n0.5,IC,L,0.62\nFC,R\n", "line 2: expected 3 fields, got 4"),
-        ("t,kind,side\n0.5,IC,L\n0.62,XX,R\n", "line 3: kind must be IC or FC, got 'XX'"),
-        ("t,kind,side\n0.5,IC,L\n0.62,FC,Q\n",
-         "line 3: side must be L, R, or U, got 'Q'"),
-        ("t,kind,side\n0.5,IC,L\nnan,FC,R\n",
-         "line 3: time_s must be a finite number, got 'nan'"),
-        ("t,kind,side\n0.5,IC,L\n-inf,FC,R\n",
-         "line 3: time_s must be a finite number, got '-inf'"),
-        ("t,kind,side\n0.5,IC,L\nabc,FC,R\n",
-         "line 3: time_s must be a finite number, got 'abc'"),
-        ("t,kind,side\n0.5,IC,L\n,FC,R\n", "line 3: time_s must be a finite number, got ''"),
-        ("t,kind,side\n\n0.5,IC,L\n\n\n0.62,FC,R\n\n", [(0.5, "IC", "L"), (0.62, "FC", "R")]),
-        ("t,kind,side\r\n0.5,IC,L\r\n0.62,FC,R\r\n", [(0.5, "IC", "L"), (0.62, "FC", "R")]),
-        ("t,kind,side\r0.5,IC,L\r0.62,FC,R\r", [(0.5, "IC", "L"), (0.62, "FC", "R")]),
-        (" t , kind , side \n 0.5 , IC , L \n0.62,FC ,R\n",
-         [(0.5, "IC", "L"), (0.62, "FC", "R")]),
-        ("t,kind,side\n0.5,IC,L\n0.62,FC,R\n0.7, XX,R\n",
-         "line 4: kind must be IC or FC, got 'XX'"),
-        ("t,kind,side\n\"0.5\",\"IC\",L\n", [(0.5, "IC", "L")]),
-        ("t,kind,side\n0.5,XX,L\n0.62,FC\n", "line 2: kind must be IC or FC, got 'XX'"),
-    ], ids=["valid", "empty", "bad-header", "two-fields", "four-fields",
-            "fields-shifted-across-rows", "bad-kind", "bad-side", "nan-time",
-            "inf-time", "non-number-time", "empty-time", "blank-lines", "crlf",
-            "cr", "padded-fields", "padded-bad-kind", "quoted-fields",
-            "bad-kind-before-two-fields"])
+    @pytest.mark.parametrize("text, expected", REFERENCE_CASES, ids=REFERENCE_CASE_IDS)
     def test_bulk_reader_equals_row_loop(self, text, expected):
         try:
             got = [(e.time_s, e.kind, e.side)
@@ -285,6 +289,21 @@ class TestReferenceEvents:
         except ParseError as exc:
             got = str(exc)
         assert got == expected
+
+    @pytest.mark.parametrize("text, expected", REFERENCE_CASES, ids=REFERENCE_CASE_IDS)
+    def test_columns_and_events_read_alike(self, text, expected):
+        def read(load):
+            try:
+                return load(text.encode())
+            except ParseError as exc:
+                return str(exc)
+
+        columns = read(ingest.reference_event_columns)
+        events = read(ingest.load_reference_events)
+        if isinstance(expected, str):
+            assert columns == events == expected
+        else:
+            assert list(map(GaitEvent, *columns)) == events
 
     def test_path_bytes_and_stream_sources_agree(self, tmp_path):
         text = "t,kind,side\r\n0.5,IC,L\r\n\r\n0.62,FC,R\r\n"

@@ -1,6 +1,7 @@
 """Property tests of the sharp-turn splitter, the config round trip, the
 config JSON reader, the event matcher, the run splitter, the turn
-detector, the two event readers and every reader of an input file."""
+detector, the two event readers, the events JSON writer, gaitpipe
+evaluate and every reader of an input file."""
 import contextlib
 import io
 import json
@@ -402,6 +403,43 @@ def test_detections_json_round_trip_and_first_bad_event(evs, data):
         pipeline.events_from_json(doc)
 
 
+@given(events)
+def test_events_json_text_equals_json_dumps(evs):
+    assert pipeline.events_json_text(evs) == json.dumps(pipeline.events_to_json(evs), indent=2)
+
+
+# few distinct times, so that equal times and both zeros are common
+scored_events = st.lists(st.builds(GaitEvent,
+                                   st.sampled_from([-0.0, 0.0, 0.25, 1.0]) | st.floats(-3, 3),
+                                   st.sampled_from(EVENT_KINDS), st.sampled_from(EVENT_SIDES)),
+                         max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_events, scored_events, st.sampled_from([0.1, 0.5, 2.0]))
+def test_evaluate_equals_matching_sorted_event_lists(detected, reference, window):
+    """gaitpipe evaluate, which reads both files into columns, writes the
+    metrics built from GaitEvents and list.sort."""
+    with tempfile.TemporaryDirectory() as tmp:
+        det_path, ref_path, out = (Path(tmp) / name for name in ("d.json", "r.csv", "m.json"))
+        det_path.write_text(json.dumps(pipeline.events_to_json(detected)))
+        ingest.write_reference_events(reference, ref_path)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["evaluate", str(det_path), str(ref_path), "--window", str(window),
+                             "--out", str(out)]) == 0
+        det = pipeline.events_from_json(json.loads(det_path.read_text()))
+        ref = ingest.load_reference_events(ref_path)
+        expected = {"window_s": window, "participant": None}
+        for kind in EVENT_KINDS:
+            report = evaluate.match_events(sorted(e.time_s for e in det if e.kind == kind),
+                                           sorted(e.time_s for e in ref if e.kind == kind),
+                                           window_s=window, kind=kind)
+            errors = evaluate.temporal_errors(report) if report.tp else None
+            expected[kind] = evaluate.metrics_to_json(kind, evaluate.compute_metrics(report),
+                                                      errors)
+        assert out.read_text() == json.dumps(expected, indent=2) + "\n"
+
+
 # pieces of the files a phone or another tool may export: numbers, the
 # non-finite and boolean words, 400 digits, level names, a quote and
 # bytes that are no UTF-8
@@ -476,3 +514,5 @@ def test_any_json_metrics_aggregate_or_end_in_an_error_line(docs, two_stage):
         assert code in (0, 1)
         assert out.exists() == (code == 0)
         assert err.getvalue().startswith("error: ") == (code == 1)
+        if code == 0:                   # strict JSON: no NaN or Infinity
+            json.loads(out.read_text(), parse_constant=pytest.fail)
