@@ -88,10 +88,15 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "reference.csv"
         ingest.write_reference_events(events, path)
-        load_cols = best_of(ingest.reference_event_columns, path)
+        load_cols = best_of(lambda: ingest.load_reference_events(path, columns=True))
         load_ev = best_of(ingest.load_reference_events, path)
-    print(f"reference_event_columns ({len(events)} rows): {load_cols * 1e3:9.1f} ms")
-    print(f"load_reference_events ({len(events)} rows): {load_ev * 1e3:9.1f} ms")
+    print(f"load_reference_events, columns ({len(events)} rows): {load_cols * 1e3:9.1f} ms")
+    print(f"load_reference_events, GaitEvents ({len(events)} rows): {load_ev * 1e3:9.1f} ms")
+
+    text = best_of(pipeline.events_json_text, detected)
+    dumps = best_of(lambda: json.dumps(pipeline.events_to_json(detected), indent=2))
+    print(f"events_json_text ({len(detected)} events): {text * 1e3:9.1f} ms "
+          f"(json.dumps indent=2: {dumps * 1e3:.1f} ms)")
 
     doc = json.loads(json.dumps(pipeline.events_to_json(detected)))
     load_det = best_of(pipeline.event_columns_from_json, doc)
@@ -138,7 +143,7 @@ def time_evaluate(detected, reference) -> tuple[list[float], int]:
     with tempfile.TemporaryDirectory() as tmp:
         det_path, ref_path, out = (str(Path(tmp) / name)
                                    for name in ("events.json", "reference.csv", "metrics.json"))
-        cli.write_text_atomic(pipeline.events_json_text(detected), det_path)
+        cli.write_json_atomic(detected, det_path, pipeline.events_json_text)
         ingest.write_reference_events(reference, ref_path)
         gc.callbacks.append(count_full)
         try:

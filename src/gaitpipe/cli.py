@@ -30,8 +30,16 @@ from .evaluate import (
 )
 
 
-def write_text_atomic(text: str, path) -> None:
-    """Write text and a final newline to path through a temp file and a rename."""
+def write_json_atomic(doc, path, dumps=None) -> None:
+    """Write doc as JSON indented by two spaces, and a final newline,
+    through a temp file and a rename. ``dumps`` may give that text faster
+    for a document of known shape (pipeline.events_json_text). A
+    non-finite number, which JSON cannot hold, raises ContractError and
+    writes nothing."""
+    try:
+        text = dumps(doc) if dumps else json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ContractError(f"{path}: {exc}") from None
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -45,21 +53,11 @@ def write_text_atomic(text: str, path) -> None:
         raise
 
 
-def write_json_atomic(doc, path) -> None:
-    """Write doc as indented JSON; a non-finite number, which JSON cannot
-    hold, raises ContractError and writes nothing."""
-    try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise ContractError(f"{path}: {exc}") from None
-    write_text_atomic(text, path)
-
-
 def cmd_process(args) -> int:
     config = PipelineConfig.load(args.config) if args.config else PipelineConfig()
     rec = ingest.load_recording(args.recording)
     result = pipeline.process_recording(rec, config)
-    write_text_atomic(pipeline.events_json_text(result.events), args.out_events)
+    write_json_atomic(result.events, args.out_events, pipeline.events_json_text)
     write_json_atomic(pipeline.segments_to_json(result.segments), args.out_segments)
     skipped = [b for b in result.bouts if b.skipped_reason]
     for b in skipped:
@@ -81,7 +79,7 @@ def cmd_evaluate(args) -> int:
     # columns all the way: a GaitEvent per event would keep ~13k objects
     # that the garbage collector tracks alive through a 1 h walk's call
     det_times, det_kinds, _ = pipeline.event_columns_from_json(read_json(args.events))
-    ref_times, ref_kinds, _ = ingest.reference_event_columns(args.reference)
+    ref_times, ref_kinds, _ = ingest.load_reference_events(args.reference, columns=True)
     det_times = _times_by_kind(det_times, det_kinds)
     ref_times = _times_by_kind(ref_times, ref_kinds)
     out = {"window_s": args.window, "participant": args.participant}
@@ -119,8 +117,11 @@ def cmd_aggregate(args) -> int:
         if not groups:
             out[kind] = None
             continue
-        summary = (two_stage_aggregate(groups) if args.two_stage
-                   else aggregate_across([v for vals in groups.values() for v in vals]))
+        # finite values near the float maximum can overflow; the writer
+        # refuses the result, so numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary = (two_stage_aggregate(groups) if args.two_stage
+                       else aggregate_across([v for vals in groups.values() for v in vals]))
         out[kind] = summary_to_json(summary)
     write_json_atomic(out, args.out)
     print(f"aggregated {sum(len(v) for k in per_kind.values() for v in k.values())} "

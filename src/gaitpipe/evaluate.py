@@ -148,15 +148,6 @@ def temporal_errors(report: MatchReport) -> TemporalErrorSet:
     )
 
 
-def _check_finite(statistics: dict, what: str) -> None:
-    """Raise ContractError naming the statistics that are not finite, as
-    those of finite values near the float maximum can overflow to be."""
-    if bad := [k for k, v in statistics.items() if v is not None and not math.isfinite(v)]:
-        raise ContractError(f"{what}: {', '.join(bad)} not finite")
-
-
-# an overflow is refused by _check_finite, without numpy's warning
-@np.errstate(over="ignore", invalid="ignore")
 def aggregate_within(values_per_participant: dict) -> dict:
     """Per-participant (median, iqr) across that participant's tests."""
     out = {}
@@ -166,14 +157,11 @@ def aggregate_within(values_per_participant: dict) -> dict:
             raise EmptySetError(f"participant {pid!r} has no values")
         q1, q3 = np.quantile(v, [0.25, 0.75])
         out[pid] = (float(np.median(v)), float(q3 - q1))
-        _check_finite(dict(zip(("median", "iqr"), out[pid])), f"participant {pid!r}")
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def aggregate_across(values, within_iqrs=None) -> AggregateSummary:
-    """Across-participant order statistics plus a Student-t mean CI.
-    A statistic that overflows the float range raises ContractError."""
+    """Across-participant order statistics plus a Student-t mean CI."""
     v = np.asarray(list(values), dtype=float)
     if len(v) == 0:
         raise EmptySetError("no values to aggregate")
@@ -193,13 +181,11 @@ def aggregate_across(values, within_iqrs=None) -> AggregateSummary:
         w = np.asarray(list(within_iqrs), dtype=float)
         if len(w):
             ws_iqr = float(np.median(w))
-    summary = AggregateSummary(
+    return AggregateSummary(
         median=float(np.median(v)), iqr=float(q3 - q1),
         q1=float(q1), q3=float(q3), p05=float(p05), p95=float(p95),
         mean=mean, ci95_lo=ci_lo, ci95_hi=ci_hi, ws_iqr=ws_iqr,
     )
-    _check_finite(asdict(summary), "aggregate")
-    return summary
 
 
 def two_stage_aggregate(values_per_participant: dict) -> AggregateSummary:

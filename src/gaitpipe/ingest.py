@@ -147,9 +147,11 @@ def write_recording(rec: ImuRecording, path) -> None:
                           for row in data[start:start + WRITE_BLOCK_ROWS].tolist())
 
 
-def reference_event_columns(source) -> tuple[list[float], list[str], list[str]]:
-    """The time, kind and side columns of a reference event CSV
-    (``t,kind,side``), with no per-event object built.
+def load_reference_events(source, columns: bool = False
+                          ) -> list[GaitEvent] | tuple[list[float], list[str], list[str]]:
+    """Parse a reference event CSV (``t,kind,side``) into GaitEvents, or,
+    with ``columns``, into the ``(times, kinds, sides)`` columns of
+    ``event_columns`` with no per-event object built.
 
     Kinds and sides may be padded with spaces. The columns are checked
     by ``event_columns``; a ParseError names the first bad line, whether
@@ -170,12 +172,10 @@ def reference_event_columns(source) -> tuple[list[float], list[str], list[str]]:
         # a bad value on an earlier line comes first
         event_columns(times, kinds, sides, line)
         raise
-    return event_columns(times, kinds, sides, line)
-
-
-def load_reference_events(source) -> list[GaitEvent]:
-    """Parse a reference event CSV into GaitEvents; see reference_event_columns."""
-    return list(map(GaitEvent, *reference_event_columns(source)))
+    times, kinds, sides = event_columns(times, kinds, sides, line)
+    if columns:
+        return times, kinds, sides
+    return list(map(GaitEvent, times, kinds, sides))
 
 
 def write_reference_events(events, path) -> None:

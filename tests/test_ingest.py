@@ -298,7 +298,7 @@ class TestReferenceEvents:
             except ParseError as exc:
                 return str(exc)
 
-        columns = read(ingest.reference_event_columns)
+        columns = read(lambda source: ingest.load_reference_events(source, columns=True))
         events = read(ingest.load_reference_events)
         if isinstance(expected, str):
             assert columns == events == expected

@@ -19,6 +19,7 @@ from scipy.signal import butter, filtfilt
 from gaitpipe import cli, evaluate, factors, ingest, pipeline, segmentation, stepdetect
 from gaitpipe.core import (
     ConfigurationError,
+    ContractError,
     EVENT_KINDS,
     EVENT_SIDES,
     GaitEvent,
@@ -406,6 +407,14 @@ def test_detections_json_round_trip_and_first_bad_event(evs, data):
 @given(events)
 def test_events_json_text_equals_json_dumps(evs):
     assert pipeline.events_json_text(evs) == json.dumps(pipeline.events_to_json(evs), indent=2)
+
+
+@pytest.mark.parametrize("time_s", [math.nan, math.inf])
+def test_events_json_text_refuses_a_non_finite_time(time_s, tmp_path):
+    events = [GaitEvent(0.5, "IC", "L"), GaitEvent(time_s, "FC", "R")]
+    with pytest.raises(ContractError, match="not JSON compliant"):
+        cli.write_json_atomic(events, tmp_path / "e.json", pipeline.events_json_text)
+    assert not any(tmp_path.iterdir())
 
 
 # few distinct times, so that equal times and both zeros are common
