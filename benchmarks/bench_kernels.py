@@ -1,18 +1,16 @@
 """Timings of the hot kernels: the CSV load, the Madgwick loop, the
 anatomical rotation, the event readers, the event matcher, a whole
-``gaitpipe evaluate`` and the MCMC chain, and the peak memory of one
+``gaitpipe evaluate`` and a factor-model fit, and the peak memory of one
 ``process_recording`` call.
 
-Run with:  python3 benchmarks/bench_kernels.py
+Run with:  PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
 The load, Madgwick and rotation are timed at the size of a 1 h recording
 at 50 Hz (180,000 samples). The rotation input is F-ordered, as the
-bouts of a gravity-aligned recording are. The chain is timed at the
-shape of acceptance criterion 7: 60 subjects x 10 observations, two
-chains advanced together. The memory figure is the peak of the
-allocations ``tracemalloc`` sees (numpy arrays included) while
-``process_recording`` runs on a 1 h ``synth`` walk, i.e. MB per hour of
-recording. The layers of ``gaitpipe evaluate`` that grow with the
+bouts of a gravity-aligned recording are. The memory figure is the
+peak of the allocations ``tracemalloc`` sees (numpy arrays included)
+while ``process_recording`` runs on a 1 h ``synth`` walk, i.e. MB per
+hour of recording. The layers of ``gaitpipe evaluate`` that grow with the
 event count run on that walk: the reference readers (into columns, and
 into GaitEvents) read its reference CSV, the detections reader takes
 the loaded JSON document of its detected events, and the matcher pairs
@@ -22,6 +20,13 @@ events against the reference in-process, ``EVALUATE_CALLS`` times while
 the walk and its results stay alive, as in the benchmark; a
 ``gc.callbacks`` probe counts the full (generation-2) garbage
 collections those calls pay.
+
+The sampler baseline is one fit of the size of acceptance criterion 7:
+``sample_posterior`` on 60 subjects x 10 observations (seed 100), 2,000
+warm-up iterations and 2,500 draws of two chains advanced together. It
+prints the seconds per fit, the ms per iteration and the minimum bulk
+ESS per second over the four contrasts, with the benchmark's
+``bulk_ess`` (gaitbench/bench.py).
 """
 import contextlib
 import gc
@@ -29,17 +34,23 @@ import io
 import json
 import math
 import statistics
+import sys
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from gaitpipe import cli, evaluate, factors, frame, ingest, kernels, pipeline, synth
 from gaitpipe.core import FC, IC, ImuRecording
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "gaitbench"))
+from bench import bulk_ess  # noqa: E402
+
 EVALUATE_CALLS = 30
+FIT_WARMUP, FIT_DRAWS, FIT_CHAINS = 2000, 2500, 2
 
 
 def best_of(fn, *args, repeats=3):
@@ -117,17 +128,18 @@ def main():
 
     obs, _ = factors.simulate_dataset(n_subjects=60, obs_per_subject=10,
                                       seed=100)
-    columns, n_sub = factors._pack_data(obs)
-    n_chains, iters = 2, 500
-    dim = kernels.N_GLOBAL + n_sub
-    theta0 = np.zeros((n_chains, dim))
-    theta0[:, 0] = math.log(10.0)
-    theta0[:, 1] = 1.0
-    step0 = np.full((n_chains, dim), 0.1)
-    ch = best_of(kernels.chain, theta0, step0, iters // 2, iters // 2, 0,
-                 *columns, factors.DEFAULT_PRIOR_SCALE)
-    print(f"mcmc chain ({len(obs)} obs, dim {dim}, {n_chains} chains, "
-          f"{iters} iterations): {ch / iters * 1e3:.3f} ms per iteration")
+    t0 = time.perf_counter()
+    fit = factors.sample_posterior(obs, n_draws=FIT_DRAWS, n_warmup=FIT_WARMUP,
+                                   seed=100, n_chains=FIT_CHAINS)
+    fit_s = time.perf_counter() - t0
+    per_chain = [factors.contrast_draws(SimpleNamespace(draws=d)) for d in fit.chain_draws]
+    ess = min(bulk_ess(np.stack([c[name] for c in per_chain]))
+              for name in factors.CONTRAST_NAMES)
+    iters = FIT_WARMUP + FIT_DRAWS
+    print(f"factor-model fit ({len(obs)} obs, dim {fit.chain_draws.shape[-1]}, "
+          f"{FIT_CHAINS} chains, {iters} iterations): {fit_s:.2f} s, "
+          f"{fit_s / iters * 1e3:.3f} ms per iteration, "
+          f"min bulk ESS {ess:.0f} = {ess / fit_s:.0f} per s")
 
 
 def time_evaluate(detected, reference) -> tuple[list[float], int]:

@@ -63,27 +63,37 @@ def finite_real(v) -> bool:
         return False
 
 
+# the most of a bad value or header that a ParseError echoes
+ECHO_CHARS = 80
+
+
+def echo(value) -> str:
+    """repr(value) cut to ECHO_CHARS, so a huge field gives a short message."""
+    shown = repr(value)
+    return shown if len(shown) <= ECHO_CHARS else shown[:ECHO_CHARS - 3] + "..."
+
+
 def finite_number(value, where, name) -> float:
     """The one rule for a number read from a file: CSV text must parse with ``float``
     to a finite value, and a JSON value pass finite_real; anything else raises
-    ParseError ``<where>: <name> must be a finite number, got <value!r>``."""
+    ParseError ``<where>: <name> must be a finite number, got <echo(value)>``."""
     try:
         number = float(value) if isinstance(value, str) or finite_real(value) else math.nan
     except ValueError:                  # text that is no number
         number = math.nan
     if not math.isfinite(number):
-        raise ParseError(f"{where}: {name} must be a finite number, got {value!r}")
+        raise ParseError(f"{where}: {name} must be a finite number, got {echo(value)}")
     return number
 
 
 def integer(text: str, where, name) -> int:
     """The one rule for an integer read from a CSV field: the text must parse
     with ``int``; anything else raises ParseError ``<where>: <name> must be an
-    integer, got <text!r>``."""
+    integer, got <echo(text)>``."""
     try:
         return int(text)
     except ValueError:                  # no integer, or past int's digit limit
-        raise ParseError(f"{where}: {name} must be an integer, got {text!r}") from None
+        raise ParseError(f"{where}: {name} must be an integer, got {echo(text)}") from None
 
 
 def read_json(path, error=ParseError):
@@ -256,15 +266,13 @@ class GravityAlignedRecording:
     """Recording rotated into the gravity frame.
 
     Axis order of ``accel``/``gyro`` columns is (vertical-up, horizontal-1,
-    horizontal-2). ``orientation`` holds one unit quaternion (w, x, y, z)
-    per sample, mapping sensor-frame vectors into the gravity frame.
+    horizontal-2).
     """
 
     t: np.ndarray
     accel: np.ndarray
     gyro: np.ndarray
     sample_rate: float
-    orientation: np.ndarray
 
     @property
     def vertical_accel(self) -> np.ndarray:
@@ -350,9 +358,9 @@ def event_columns(times: list, kinds: list, sides: list,
     for i, (t, kind, side) in enumerate(zip(times, kinds, sides)):
         finite_number(t, where(i), "time_s")
         if kind not in EVENT_KINDS:
-            raise ParseError(f"{where(i)}: kind must be IC or FC, got {kind!r}")
+            raise ParseError(f"{where(i)}: kind must be IC or FC, got {echo(kind)}")
         if side not in EVENT_SIDES:
-            raise ParseError(f"{where(i)}: side must be L, R, or U, got {side!r}")
+            raise ParseError(f"{where(i)}: side must be L, R, or U, got {echo(side)}")
     raise ContractError("an event column failed its check but no event did")
 
 

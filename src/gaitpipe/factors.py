@@ -2,9 +2,11 @@
 
 Likelihood: F1 ~ Beta(mu*kappa, (1-mu)*kappa) with logit(mu) built from
 age, sex, an ordinal disease effect (simplex increments), subject
-intercepts, environment, and walking-aid use. Sampling is adaptive
-component-wise random-walk Metropolis on unconstrained coordinates
-(log / stick-breaking transforms with Jacobian corrections).
+intercepts, environment, and walking-aid use; the sampler and the
+densities below score rows folded into covariate groups with
+``kernels.loglik``. Sampling is adaptive component-wise random-walk
+Metropolis on unconstrained coordinates (log / stick-breaking transforms
+with Jacobian corrections).
 """
 from __future__ import annotations
 
@@ -61,11 +63,15 @@ class PosteriorSummary:
 
 @dataclass
 class FitResult:
-    draws: np.ndarray          # (n_chains * n_draws, dim)
     chain_draws: np.ndarray    # (n_chains, n_draws, dim)
     accept_rates: list[float]
     rhat: np.ndarray
     n_sub: int
+
+    @property
+    def draws(self) -> np.ndarray:
+        """All chains' draws one after another, (n_chains * n_draws, dim)."""
+        return self.chain_draws.reshape(-1, self.chain_draws.shape[-1])
 
     @property
     def max_rhat(self) -> float:
@@ -127,12 +133,17 @@ def _pack_data(data: list[FactorObservation]):
     return (f1, age, sex, dis, sub, env, aid), len(subjects)
 
 
-def _checked(theta, data):
+def _checked_loglik(theta, data):
+    """Log-likelihood at theta (checked against the data), theta and n_sub."""
     columns, n_sub = _pack_data(data)
     theta = np.asarray(theta, dtype=float)
     if len(theta) != kernels.N_GLOBAL + n_sub:
         raise ContractError("parameter vector has the wrong dimension")
-    return theta, columns, n_sub
+    groups, s1, s2, n = kernels._fold(*columns)
+    with np.errstate(all="ignore"):
+        ll = kernels.loglik(kernels._eta(theta, *groups), np.exp(theta[0]),
+                            s1, s2, n)
+    return float(ll - (s1 + s2).sum()), theta, n_sub
 
 
 def log_posterior(theta: np.ndarray, data: list[FactorObservation],
@@ -141,15 +152,13 @@ def log_posterior(theta: np.ndarray, data: list[FactorObservation],
 
     -inf, not an exception, where a term overflows or saturates.
     """
-    theta, columns, n_sub = _checked(theta, data)
-    return kernels.loglik_range(theta, *columns, 0, len(data)) \
-        + kernels.logprior(theta, n_sub, prior_scale)
+    ll, theta, n_sub = _checked_loglik(theta, data)
+    return ll + kernels.logprior(theta, n_sub, prior_scale)
 
 
 def log_likelihood(theta: np.ndarray, data: list[FactorObservation]) -> float:
     """Likelihood component alone (no priors)."""
-    theta, columns, _ = _checked(theta, data)
-    return kernels.loglik_range(theta, *columns, 0, len(data))
+    return _checked_loglik(theta, data)[0]
 
 
 def _run_chains(columns, n_sub, n_draws, n_warmup, seed, n_chains,
@@ -170,8 +179,7 @@ def _run_chains(columns, n_sub, n_draws, n_warmup, seed, n_chains,
     step0 = np.full((n_chains, dim), 0.1)
     chain_draws, rates = kernels.chain(theta0, step0, n_warmup, n_draws, rng,
                                        *columns, prior_scale)
-    return FitResult(draws=chain_draws.reshape(-1, dim),
-                     chain_draws=chain_draws,
+    return FitResult(chain_draws=chain_draws,
                      accept_rates=[float(r) for r in rates],
                      rhat=split_rhat(chain_draws), n_sub=n_sub)
 

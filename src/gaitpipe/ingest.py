@@ -22,6 +22,7 @@ from .core import (
     ImuRecording,
     InsufficientDataError,
     ParseError,
+    echo,
     event_columns,
     finite_number,
     lowpass,
@@ -30,8 +31,6 @@ from .core import (
 RECORDING_HEADER = ["t", "ax", "ay", "az", "gx", "gy", "gz"]
 EVENTS_HEADER = ["t", "kind", "side"]
 WRITE_BLOCK_ROWS = 8192
-# the most of a bad first line that a ParseError echoes
-HEADER_ECHO_CHARS = 80
 
 
 def _open_text(source):
@@ -60,10 +59,7 @@ def csv_rows(source, header: list[str]):
         except StopIteration:
             raise ParseError("empty file: missing header") from None
         if [h.strip() for h in first] != header:
-            shown = repr(first)
-            if len(shown) > HEADER_ECHO_CHARS:    # a binary or wrong file
-                shown = shown[:HEADER_ECHO_CHARS - 3] + "..."
-            raise ParseError(f"bad header {shown}, expected {header}")
+            raise ParseError(f"bad header {echo(first)}, expected {header}")
         n = len(header)
         for lineno, row in enumerate(reader, start=2):
             if not row:

@@ -118,16 +118,11 @@ def _or_neg_inf(x):
     return np.where(np.isfinite(x), x, -np.inf)
 
 
-def _delta_cumsums(z1, z2):
-    """Cumulative ordinal weights for disease levels 0..3."""
-    d1 = expit(z1)
-    d2 = expit(-z1) * expit(z2)
-    return 0.0, d1, d1 + d2, 1.0
-
-
 def _cumsum_table(z1, z2):
-    """``_delta_cumsums`` stacked along a last axis of length 4."""
-    _, c1, c2, _ = _delta_cumsums(z1, z2)
+    """Cumulative ordinal weights of disease levels 0..3 along a last axis
+    of length 4: 0, delta1, delta1 + delta2, 1."""
+    c1 = expit(z1)
+    c2 = c1 + expit(-z1) * expit(z2)
     return np.stack([np.zeros_like(c1), c1, c2, np.ones_like(c1)], axis=-1)
 
 
@@ -145,7 +140,7 @@ def _beta_terms(eta, kappa, s1, s2, n):
     """Beta log density of n rows sharing one eta, per term, plus s1 + s2.
 
     s1 and s2 are the rows' sums of log f1 and log(1 - f1); they do not
-    depend on the parameters, so the sampler leaves out the constant
+    depend on the parameters, so ``loglik`` leaves out the constant
     -(s1 + s2). 1 - mu is computed as expit(-eta), which stays positive
     where 1 - expit(eta) rounds to 0 (eta > 37).
     """
@@ -155,15 +150,11 @@ def _beta_terms(eta, kappa, s1, s2, n):
         - n * (gammaln(al) + gammaln(be) - gammaln(kappa))
 
 
-def loglik_range(theta, f1, age, sex, dis, sub, env, aid, lo, hi):
-    """Log-likelihood of rows lo..hi-1 at one parameter vector."""
-    theta = np.asarray(theta, dtype=float)
-    r = slice(lo, hi)
-    with np.errstate(all="ignore"):
-        eta = _eta(theta, age[r], sex[r], dis[r], sub[r], env[r], aid[r])
-        s1, s2 = np.log(f1[r]), np.log1p(-f1[r])
-        terms = _beta_terms(eta, np.exp(theta[0]), s1, s2, 1.0)
-        return float(_or_neg_inf(terms.sum() - (s1 + s2).sum()))
+def loglik(eta, kappa, s1, s2, n):
+    """Beta log-likelihood of the folded groups, up to -(s1 + s2).sum(), per
+    chain: eta is (..., groups) and kappa (...). Not finite gives -inf."""
+    return _or_neg_inf(
+        _beta_terms(eta, np.expand_dims(kappa, -1), s1, s2, n).sum(axis=-1))
 
 
 def _log_half_cauchy(x, scale):
@@ -248,11 +239,6 @@ def chain(theta0, step0, n_warmup, n_draws, seed,
     column = {1: 1.0, 2: g_age, 3: g_sex == 0, 4: g_sex == 1, 8: 1.0,
               10: g_env == 0, 11: g_env == 1, 12: g_aid == 0, 13: g_aid == 1}
 
-    def loglik(eta, kappa):
-        """Per chain, up to the constant the sampler leaves out."""
-        return _or_neg_inf(
-            _beta_terms(eta, kappa[:, None], s1, s2, n).sum(axis=1))
-
     draws = np.empty((n_chains, n_draws, dim))
     win_acc = np.zeros((n_chains, dim))
     kept_acc = np.zeros(n_chains)
@@ -260,7 +246,7 @@ def chain(theta0, step0, n_warmup, n_draws, seed,
         eta = _eta(theta, *cols)
         kappa = np.exp(theta[:, 0])
         cum = _cumsum_table(theta[:, 6], theta[:, 7])
-        cur = loglik(eta, kappa)
+        cur = loglik(eta, kappa, s1, s2, n)
         for it in range(n_warmup + n_draws):
             jumps = steps * rng.standard_normal((n_chains, dim))
             # a coordinate keeps its iteration-start value until its own
@@ -291,7 +277,7 @@ def chain(theta0, step0, n_warmup, n_draws, seed,
                         * theta[:, N_GLOBAL + g_sub]
                 else:
                     new_eta = eta + jumps[:, j, None] * column[j]
-                new_ll = loglik(new_eta, new_kappa)
+                new_ll = loglik(new_eta, new_kappa, s1, s2, n)
                 acc = threshold[:, j] < new_ll - cur
                 accepted[:, j] = acc
                 theta[:, j] = np.where(acc, new, old)

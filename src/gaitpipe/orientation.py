@@ -14,6 +14,8 @@ from .core import (
 )
 
 DEFAULT_BETA = 0.041
+# samples per block of rotation matrices in align_with_gravity
+ALIGN_BLOCK = 8192
 
 
 def initial_tilt(accel_sample: np.ndarray) -> np.ndarray:
@@ -43,21 +45,20 @@ def align_with_gravity(rec: ImuRecording, quats: np.ndarray) -> GravityAlignedRe
     """Rotate samples into the gravity frame; axis order (vertical, h1, h2)."""
     if len(quats) != len(rec.t):
         raise ContractError("orientation sequence length mismatch")
-    # rows of R(q) give earth-frame components of the sensor basis; rot
-    # reorders them to vertical-up first, then the two horizontal axes
-    R = quat_to_matrix(quats)
-
-    def rot(v):
-        return (R[..., 0] * v[:, None, 0] + R[..., 1] * v[:, None, 1]
-                + R[..., 2] * v[:, None, 2])[:, [2, 0, 1]]
-
-    return GravityAlignedRecording(
-        t=rec.t,
-        accel=rot(rec.accel),
-        gyro=rot(rec.gyro),
-        sample_rate=float(rec.sample_rate),
-        orientation=quats,
-    )
+    # rows of R(q) give earth-frame components of the sensor basis; they
+    # are reordered to vertical-up first, then the two horizontal axes.
+    # R is built per block of samples, so no (n, 3, 3) array is held; the
+    # outputs are F-ordered, as a whole-recording fancy index gave them.
+    n = len(quats)
+    accel, gyro = np.empty((3, n)).T, np.empty((3, n)).T
+    for lo in range(0, n, ALIGN_BLOCK):
+        r = slice(lo, lo + ALIGN_BLOCK)
+        R = quat_to_matrix(quats[r])
+        for v, out in ((rec.accel[r], accel), (rec.gyro[r], gyro)):
+            out[r] = (R[..., 0] * v[:, None, 0] + R[..., 1] * v[:, None, 1]
+                      + R[..., 2] * v[:, None, 2])[:, [2, 0, 1]]
+    return GravityAlignedRecording(t=rec.t, accel=accel, gyro=gyro,
+                                   sample_rate=float(rec.sample_rate))
 
 
 def align_recording(rec: ImuRecording, beta: float = DEFAULT_BETA) -> GravityAlignedRecording:

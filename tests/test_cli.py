@@ -407,6 +407,31 @@ class TestBadInputFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: bad header [") and len(err) < 200
 
+    @pytest.mark.parametrize("argv, files, message", [
+        (["evaluate", "d.json", "t.csv"],
+         {"d.json": b"[]", "t.csv": b"t,kind,side\n1.0,IC,L\n" + b"x" * 100_000 + b",FC,R\n"},
+         "error: line 3: time_s must be a finite number, got 'xxx"),
+        (["evaluate", "d.json", "t.csv"],
+         {"d.json": b"[]", "t.csv": b"t,kind,side\n1.0," + b"K" * 50_000 + b",L\n"},
+         "error: line 2: kind must be IC or FC, got 'KKK"),
+        (["evaluate", "d.json", "t.csv"],
+         {"d.json": b"[]", "t.csv": b"t,kind,side\n1.0,IC," + b"S" * 50_000 + b"\n"},
+         "error: line 2: side must be L, R, or U, got 'SSS"),
+        (["factors", "f.csv"],
+         {"f.csv": b"f1,age,sex,disease,subject,environment,aid\n0.9,50,F,HC,"
+          + b"7" * 100_000 + b",Indoor,WithAid\n"},
+         "error: line 2: subject must be an integer, got '777"),
+    ], ids=["time", "kind", "side", "subject"])
+    def test_bad_value_error_line_is_short(self, tmp_path, capsys, monkeypatch, argv, files,
+                                           message):
+        monkeypatch.chdir(tmp_path)
+        for name, data in files.items():
+            Path(name).write_bytes(data)
+        assert run(argv + [OUT_FLAGS[argv[0]][0], "out.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.endswith("...\n")
+        assert len(err.encode()) < 200 and err.count("\n") == 1
+
 
 class TestEvaluateCommand:
     def test_builds_no_gait_event(self, tmp_path, monkeypatch):

@@ -177,6 +177,8 @@ class TestDensities:
                                                               rel=1e-12)
 
     def test_folded_groups_give_the_rowwise_likelihood(self):
+        from scipy.special import expit
+        from scipy.stats import beta as beta_dist
         obs, _ = factors.simulate_dataset(n_subjects=6, obs_per_subject=9,
                                           seed=8)
         columns, n_sub = factors._pack_data(obs)
@@ -184,10 +186,14 @@ class TestDensities:
             kernels.N_GLOBAL + n_sub)
         groups, s1, s2, n = kernels._fold(*columns)
         assert len(n) < len(obs) and n.sum() == len(obs)
-        terms = kernels._beta_terms(kernels._eta(theta, *groups),
-                                    math.exp(theta[0]), s1, s2, n)
-        assert terms.sum() - (s1 + s2).sum() == pytest.approx(
-            kernels.loglik_range(theta, *columns, 0, len(obs)), rel=1e-12)
+        f1, rows = columns[0], columns[1:]
+        kappa = math.exp(theta[0])
+        mu = expit(kernels._eta(theta, *rows))
+        expected = beta_dist.logpdf(f1, kappa * mu, kappa * (1 - mu)).sum()
+        folded = kernels.loglik(kernels._eta(theta, *groups), kappa, s1, s2, n)
+        assert folded - (s1 + s2).sum() == pytest.approx(expected, rel=1e-12)
+        assert factors.log_likelihood(theta, obs) == pytest.approx(expected,
+                                                                   rel=1e-12)
 
     # Saturated terms: mu rounds to 1.0 in 1 / (1 + exp(-eta)) once eta is
     # past ~37, and exp(log kappa) overflows past ~709. The densities must
@@ -245,8 +251,8 @@ class TestDiseaseSimplex:
         rng = np.random.default_rng(5)
         for _ in range(100):
             z1, z2 = rng.normal(0, 3, 2)
-            c0, c1, c2, c3 = kernels._delta_cumsums(z1, z2)
-            assert c0 == 0.0 and c3 == pytest.approx(1.0)
+            c0, c1, c2, c3 = kernels._cumsum_table(z1, z2)
+            assert c0 == 0.0 and c3 == 1.0
             assert 0.0 < c1 < c2 < 1.0
 
 
@@ -293,9 +299,9 @@ class TestSampling:
         draws = np.zeros((2, 10, kernels.N_GLOBAL))
         draws[:, :, 10] = 0.4   # indoor
         draws[:, :, 11] = 0.4   # outdoor equal -> contrast 0
-        fit = factors.FitResult(draws=draws.reshape(-1, kernels.N_GLOBAL),
-                                chain_draws=draws, accept_rates=[0.4, 0.4],
+        fit = factors.FitResult(chain_draws=draws, accept_rates=[0.4, 0.4],
                                 rhat=np.ones(kernels.N_GLOBAL), n_sub=0)
+        assert fit.draws.shape == (20, kernels.N_GLOBAL)
         vals = factors.contrast_draws(fit)["Indoors - Outdoors"]
         np.testing.assert_allclose(vals, 0.0, atol=1e-12)
 
@@ -324,6 +330,93 @@ class TestSampling:
         a = fit.draws[:, 1]
         assert np.mean(a) == pytest.approx(1.0, abs=0.2)
         assert np.std(a) == pytest.approx(1.0, abs=0.3)
+
+
+def reference_chain(theta0, step0, n_warmup, n_draws, seed, columns,
+                    prior_scale):
+    """kernels.chain's sampler, drawing the same random numbers in the same
+    order, but with eta rebuilt by kernels._eta and kappa by exp from the
+    whole parameter vector for every proposal, where the chain updates
+    them by coordinate."""
+    rng = np.random.default_rng(seed)
+    theta = np.array(theta0, dtype=float)
+    steps = np.array(step0, dtype=float)
+    n_chains, dim = theta.shape
+    n_global = kernels.N_GLOBAL
+    groups, s1, s2, n = kernels._fold(*columns)
+    g_sub = groups[3]
+
+    def group_terms(th):
+        return kernels._beta_terms(kernels._eta(th, *groups),
+                                   np.exp(th[:, 0, None]), s1, s2, n)
+
+    def loglik(th):
+        return kernels.loglik(kernels._eta(th, *groups), np.exp(th[:, 0]),
+                              s1, s2, n)
+
+    draws = np.empty((n_chains, n_draws, dim))
+    win_acc = np.zeros((n_chains, dim))
+    kept_acc = np.zeros(n_chains)
+    with np.errstate(all="ignore"):
+        cur = loglik(theta)
+        for it in range(n_warmup + n_draws):
+            proposed = theta + steps * rng.standard_normal((n_chains, dim))
+            threshold = np.log(rng.random((n_chains, dim)))
+            threshold[:, :n_global] -= \
+                kernels._global_prior_terms(proposed[:, :n_global], prior_scale) \
+                - kernels._global_prior_terms(theta[:, :n_global], prior_scale)
+            accepted = np.zeros((n_chains, dim), dtype=bool)
+            for j in range(n_global):
+                trial = theta.copy()
+                trial[:, j] = proposed[:, j]
+                new_ll = loglik(trial)
+                accepted[:, j] = threshold[:, j] < new_ll - cur
+                theta = np.where(accepted[:, j, None], trial, theta)
+                cur = np.where(accepted[:, j], new_ll, cur)
+            trial = theta.copy()
+            trial[:, n_global:] = proposed[:, n_global:]
+            diff = group_terms(trial) - group_terms(theta)
+            d_ll = np.stack([diff[:, g_sub == k].sum(axis=1)
+                             for k in range(dim - n_global)], axis=1)
+            u, new_u = theta[:, n_global:], trial[:, n_global:]
+            accepted[:, n_global:] = threshold[:, n_global:] < \
+                kernels._or_neg_inf(d_ll) - 0.5 * (new_u * new_u - u * u)
+            theta[:, n_global:] = np.where(accepted[:, n_global:], new_u, u)
+            cur = loglik(theta)
+            if it < n_warmup:
+                win_acc += accepted
+                if (it + 1) % 25 == 0:
+                    steps = np.clip(steps * np.exp(win_acc / 25.0 - 0.44),
+                                    1e-6, 10.0)
+                    win_acc[:] = 0.0
+            else:
+                kept_acc += accepted.sum(axis=1)
+                draws[:, it - n_warmup] = theta
+    return draws, kept_acc / (n_draws * dim)
+
+
+class TestChainUpdates:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_incremental_updates_match_a_rebuilt_chain(self, seed):
+        # the chain moves eta by a column per linear coordinate and by its
+        # own rule for log kappa, d, z1, z2 and log sigma_sub; rebuilding
+        # eta and kappa for every proposal must give the very same draws
+        obs, _ = factors.simulate_dataset(n_subjects=8, obs_per_subject=5,
+                                          seed=seed)
+        columns, n_sub = factors._pack_data(obs)
+        rng = np.random.default_rng(seed)
+        theta0 = 0.1 * rng.standard_normal((2, kernels.N_GLOBAL + n_sub))
+        theta0[:, 0] += math.log(10.0)
+        theta0[:, 1] += 1.0
+        step0 = np.full(theta0.shape, 0.1)
+        args = (theta0, step0, 150, 150, seed)
+        draws, rates = kernels.chain(*args, *columns,
+                                     factors.DEFAULT_PRIOR_SCALE)
+        want_draws, want_rates = reference_chain(
+            *args, columns, factors.DEFAULT_PRIOR_SCALE)
+        assert len(set(columns[2])) > 1    # so d, z1 and z2 move eta
+        np.testing.assert_array_equal(draws, want_draws)
+        np.testing.assert_array_equal(rates, want_rates)
 
 
 class TestSamplerArguments:

@@ -156,14 +156,16 @@ class TestQuatToMatrix:
 class TestAlignWithGravity:
     def test_equals_entrywise_reference(self):
         rng = np.random.default_rng(6)
-        for seed in range(3):
+        for seed, duration_s in enumerate([20.0, 20.0, 200.0]):
             rec, _, _, _ = synth.generate(synth.SynthConfig(
-                duration_s=20.0, seed=seed, noise_sigma=0.3,
+                duration_s=duration_s, seed=seed, noise_sigma=0.3,
                 sensor_rotation=random_unit_quat(rng)))
             quats = orientation.estimate_orientation(rec)
             out = orientation.align_with_gravity(rec, quats)
             assert np.array_equal(out.accel, reference_gravity_rotate(quats, rec.accel))
             assert np.array_equal(out.gyro, reference_gravity_rotate(quats, rec.gyro))
+        # the last recording spans a whole and a part block of matrices
+        assert orientation.ALIGN_BLOCK < len(rec.t) < 2 * orientation.ALIGN_BLOCK
 
     def test_identity_orientation_reorders_axes_only(self):
         rec = static_rec([0.0, 0.0, G], duration_s=1.0)

@@ -286,7 +286,7 @@ class TestEventJson:
         ({"time_s": 0.5, "kind": "IC"}, "detections must be a JSON list of events, got dict"),
         ([{"time_s": 0.5, "kind": "XX"}, 7], "event 0: kind must be IC or FC, got 'XX'"),
         ([{"time_s": 10 ** 400, "kind": "IC"}],
-         f"event 0: time_s must be a finite number, got {10 ** 400!r}"),
+         "event 0: time_s must be a finite number, got 1" + "0" * 76 + "..."),
     ], ids=["valid", "empty", "number-like-times", "bool-time", "missing-time", "text-time",
             "inf-time", "missing-kind", "list-kind", "bad-side", "array-entry",
             "not-a-list", "bad-kind-before-non-object", "int-beyond-float"])

@@ -63,8 +63,7 @@ def walking_recording() -> GravityAlignedRecording:
     accel = np.zeros((len(t), 3))
     accel[:, 0] = 9.81 + (2.0 + 0.6 * (-1.0) ** kmod) * np.sin(2 * np.pi * t / step)
     return GravityAlignedRecording(t=t, accel=accel, gyro=np.zeros_like(accel),
-                                   sample_rate=FS,
-                                   orientation=np.tile([1.0, 0, 0, 0], (len(t), 1)))
+                                   sample_rate=FS)
 
 
 sharp_angles = st.floats(1.0, 180.0)
@@ -339,8 +338,7 @@ def test_turns_equal_hysteresis_reference(case):
     gyro = np.zeros((n, 3))
     gyro[:, 0] = yaw
     rec = GravityAlignedRecording(t=3.0 + np.arange(n) / fs, accel=np.zeros((n, 3)),
-                                  gyro=gyro, sample_rate=fs,
-                                  orientation=np.tile([1.0, 0, 0, 0], (n, 1)))
+                                  gyro=gyro, sample_rate=fs)
     assert segmentation.detect_turns(rec, cfg) == reference_turns(rec, cfg)
 
 

@@ -15,8 +15,7 @@ def aligned(accel, gyro=None, fs=50.0):
         gyro = np.zeros((n, 3))
     return GravityAlignedRecording(
         t=np.arange(n) / fs, accel=np.asarray(accel, dtype=float),
-        gyro=np.asarray(gyro, dtype=float), sample_rate=fs,
-        orientation=np.tile([1.0, 0, 0, 0], (n, 1)))
+        gyro=np.asarray(gyro, dtype=float), sample_rate=fs)
 
 
 def direct_autocorr(x):
