@@ -374,12 +374,25 @@ class TestBadInputFiles:
         (["aggregate", "a.json", "b.json", "--two-stage"],
          {"a.json": b'{"participant": "a", "IC": {"f1": 1e308}}',
           "b.json": b'{"participant": "a", "IC": {"f1": 1.5e308}}'}, NOT_JSON),
+        (["evaluate", "d.json", "t.csv"],
+         {"d.json": b"[]", "t.csv": b"t,kind,side\n1.0,IC,L\n" + b"x" * 100_000 + b",FC,R\n"},
+         "line 3: time_s must be a finite number, got '" + "x" * 76 + "...\n"),
+        (["evaluate", "d.json", "t.csv"],
+         {"d.json": b"[]", "t.csv": b"t,kind,side\n1.0," + b"K" * 50_000 + b",L\n"},
+         "line 2: kind must be IC or FC, got '" + "K" * 76 + "...\n"),
+        (["evaluate", "d.json", "t.csv"],
+         {"d.json": b"[]", "t.csv": b"t,kind,side\n1.0,IC," + b"S" * 50_000 + b"\n"},
+         "line 2: side must be L, R, or U, got '" + "S" * 76 + "...\n"),
+        (["factors", "f.csv"],
+         {"f.csv": (FACTORS % b"50").replace(b",0,", b"," + b"7" * 100_000 + b",")},
+         "line 2: subject must be an integer, got '" + "7" * 76 + "...\n"),
     ], ids=["truncated-detections", "nested-detections", "bool-time", "non-utf8-reference",
             "metrics-list", "metrics-null-entry", "metrics-list-entry", "text-metric",
             "nan-metric", "bool-metric", "non-utf8-metrics", "non-utf8-recording",
             "nan-recording", "huge-field-recording", "directory-recording",
             "non-utf8-factors", "huge-synth", "zero-sample-synth", "overflowing-metrics",
-            "overflowing-metrics-two-stage", "overflowing-participant"])
+            "overflowing-metrics-two-stage", "overflowing-participant", "huge-time",
+            "huge-kind", "huge-side", "huge-subject"])
     @pytest.mark.filterwarnings("error")    # a warning would print a second line
     def test_error_line(self, tmp_path, capsys, monkeypatch, argv, files, message):
         monkeypatch.chdir(tmp_path)
@@ -392,7 +405,7 @@ class TestBadInputFiles:
         flags = [arg for pair in zip(OUT_FLAGS[argv[0]], outputs) for arg in pair]
         assert run(argv + flags) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
         assert message in err
         assert not any(map(Path.exists, map(Path, outputs)))
 
@@ -406,31 +419,6 @@ class TestBadInputFiles:
                     "--out-segments", tmp_path / "s.json"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bad header [") and len(err) < 200
-
-    @pytest.mark.parametrize("argv, files, message", [
-        (["evaluate", "d.json", "t.csv"],
-         {"d.json": b"[]", "t.csv": b"t,kind,side\n1.0,IC,L\n" + b"x" * 100_000 + b",FC,R\n"},
-         "error: line 3: time_s must be a finite number, got 'xxx"),
-        (["evaluate", "d.json", "t.csv"],
-         {"d.json": b"[]", "t.csv": b"t,kind,side\n1.0," + b"K" * 50_000 + b",L\n"},
-         "error: line 2: kind must be IC or FC, got 'KKK"),
-        (["evaluate", "d.json", "t.csv"],
-         {"d.json": b"[]", "t.csv": b"t,kind,side\n1.0,IC," + b"S" * 50_000 + b"\n"},
-         "error: line 2: side must be L, R, or U, got 'SSS"),
-        (["factors", "f.csv"],
-         {"f.csv": b"f1,age,sex,disease,subject,environment,aid\n0.9,50,F,HC,"
-          + b"7" * 100_000 + b",Indoor,WithAid\n"},
-         "error: line 2: subject must be an integer, got '777"),
-    ], ids=["time", "kind", "side", "subject"])
-    def test_bad_value_error_line_is_short(self, tmp_path, capsys, monkeypatch, argv, files,
-                                           message):
-        monkeypatch.chdir(tmp_path)
-        for name, data in files.items():
-            Path(name).write_bytes(data)
-        assert run(argv + [OUT_FLAGS[argv[0]][0], "out.json"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(message) and err.endswith("...\n")
-        assert len(err.encode()) < 200 and err.count("\n") == 1
 
 
 class TestEvaluateCommand:
