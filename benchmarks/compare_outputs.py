@@ -14,8 +14,11 @@ stdout, stderr and exit code. OUTDIR/aggregate/ holds the outputs of
 `--two-stage`. OUTDIR/config/ holds the stdout of `gaitpipe config
 --print-defaults` and the outputs of `gaitpipe process --config` with
 that printed file on `synth0`, so the comparison covers the config
-round trip. The checkout's own src/ is the code under
-test. To compare two checkouts, run this script from each (copying it
+round trip. It also holds the outputs of `gaitpipe process --config`
+with `{"wavelet_axis": "vertical"}` on `synth0`, whose one bout picks
+the antero-posterior axis unforced, and of `gaitpipe evaluate` on those
+events, so the comparison covers the wavelet override path. The
+checkout's own src/ is the code under test. To compare two checkouts, run this script from each (copying it
 into one that lacks it) and `diff -r` the two output directories.
 """
 import os
@@ -113,6 +116,14 @@ def main(argv) -> int:
     gaitpipe(["process", f"{INPUTS}/synth0.csv", "--config", f"{CONFIG}/defaults.stdout",
               "--out-events", f"{CONFIG}/events.json",
               "--out-segments", f"{CONFIG}/segments.json"], outdir, CONFIG, "process")
+    (outdir / CONFIG / "vertical.json").write_text('{"wavelet_axis": "vertical"}\n')
+    gaitpipe(["process", f"{INPUTS}/synth0.csv", "--config", f"{CONFIG}/vertical.json",
+              "--out-events", f"{CONFIG}/vertical_events.json",
+              "--out-segments", f"{CONFIG}/vertical_segments.json"],
+             outdir, CONFIG, "vertical_process")
+    gaitpipe(["evaluate", f"{CONFIG}/vertical_events.json", f"{INPUTS}/synth0_truth.csv",
+              "--participant", "synth0", "--out", f"{CONFIG}/vertical_metrics.json"],
+             outdir, CONFIG, "vertical_evaluate")
     shutil.rmtree(outdir / INPUTS)
     return 0
 

@@ -42,7 +42,6 @@ from .orientation import align_recording, estimate_orientation
 from .segmentation import detect_turns, eligible_bouts, segment
 from .frame import AnatomicalFrame, estimate_frame, to_anatomical, verify_frame
 from .stepdetect import (
-    StrideEstimate,
     WaveletParams,
     assign_laterality,
     detect_events,

@@ -1,15 +1,13 @@
 """Batch command-line front end.
 
 Subcommands: process, evaluate, aggregate, synth, factors, config.
-All output files are written atomically (temp file + rename).
+All output files are written atomically (temp file + rename, core.open_atomic).
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +15,7 @@ import numpy as np
 from . import factors as factors_mod
 from . import ingest, pipeline, synth
 from .core import (FC, IC, ContractError, EmptySetError, GaitPipeError, ParseError,
-                   PipelineConfig, finite_number, read_json)
+                   PipelineConfig, finite_number, open_atomic, read_json)
 from .evaluate import (
     DEFAULT_WINDOW_S,
     aggregate_across,
@@ -32,7 +30,7 @@ from .evaluate import (
 
 def write_json_atomic(doc, path, dumps=None) -> None:
     """Write doc as JSON indented by two spaces, and a final newline,
-    through a temp file and a rename. ``dumps`` may give that text faster
+    through open_atomic. ``dumps`` may give that text faster
     for a document of known shape (pipeline.events_json_text). A
     non-finite number, which JSON cannot hold, raises ContractError and
     writes nothing."""
@@ -40,17 +38,9 @@ def write_json_atomic(doc, path, dumps=None) -> None:
         text = dumps(doc) if dumps else json.dumps(doc, indent=2, allow_nan=False)
     except ValueError as exc:
         raise ContractError(f"{path}: {exc}") from None
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with open_atomic(path) as fh:
+        fh.write(text)
+        fh.write("\n")
 
 
 def cmd_process(args) -> int:

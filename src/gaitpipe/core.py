@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+import os
+import secrets
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.signal import butter, filtfilt
@@ -105,6 +108,26 @@ def read_json(path, error=ParseError):
         raise error(f"{path}: {exc}") from None
 
 
+@contextmanager
+def open_atomic(path):
+    """The one writer of output files: a UTF-8 text file, with no newline
+    translation, in path's directory that is renamed over path when the
+    with block ends. A block that raises leaves path as it was and no
+    temp file behind. The file gets the mode that open() would give it
+    (0o666 less the umask)."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 # what each name in a field annotation admits, and how a message says it
 FIELD_TYPES = {
     "float": ("a finite number", finite_real),
@@ -190,13 +213,19 @@ class PipelineConfig(Config):
 
     POSITIVE = ("window_s accel_ref accel_tol gyro_thresh std_thresh merge_gap_s "
                 "rest_split_s min_bout_s boundary_margin_s sharp_turn_deg turn_lowpass_hz "
-                "resample_hz lowpass_cutoff_hz madgwick_beta wavelet_scale").split()
+                "lowpass_cutoff_hz madgwick_beta wavelet_scale").split()
+    # covers phone IMU rates; detection was checked at 25-200 Hz
+    RESAMPLE_HZ_RANGE = (10.0, 1000.0)
 
     def validate(self) -> None:
         for name in self.POSITIVE:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ConfigurationError(f"{name} must be positive, got {value}")
+        low, high = self.RESAMPLE_HZ_RANGE
+        if self.resample_hz is not None and not low <= self.resample_hz <= high:
+            raise ConfigurationError(f"resample_hz must be null or in [{low:g}, {high:g}] Hz, "
+                                     f"got {self.resample_hz}")
         if not 0 <= self.turn_stop_dps <= self.turn_start_dps:
             raise ConfigurationError(
                 "turn rates need 0 <= turn_stop_dps <= turn_start_dps")
@@ -325,8 +354,6 @@ class GaitEvent:
     time_s: float
     kind: str
     side: str = SIDE_UNKNOWN
-    # extremum magnitude used when collapsing near-duplicates; not serialized
-    strength: float = field(default=0.0, compare=False)
 
     def to_json(self) -> dict:
         return {"time_s": self.time_s, "kind": self.kind, "side": self.side}

@@ -27,6 +27,8 @@ ENV_LEVELS = {"Indoor": 0, "Outdoor": 1}
 AID_LEVELS = {"WithAid": 0, "WithoutAid": 1}
 
 DEFAULT_PRIOR_SCALE = 1.0 / 100.0
+# the most values the draws array of one fit may hold: 1 GiB of floats
+MAX_DRAW_VALUES = 2 ** 27
 FACTOR_HEADER = ["f1", "age", "sex", "disease", "subject", "environment", "aid"]
 
 
@@ -169,8 +171,12 @@ def _run_chains(columns, n_sub, n_draws, n_warmup, seed, n_chains,
             f"got {n_draws}, {n_warmup}, {n_chains} and {seed}")
     if not (math.isfinite(prior_scale) and prior_scale > 0):
         raise ConfigurationError("prior_scale must be finite and positive")
-    rng = np.random.default_rng(seed)
     dim = kernels.N_GLOBAL + n_sub
+    if n_chains * n_draws * dim > MAX_DRAW_VALUES:
+        raise ConfigurationError(
+            f"n_chains * n_draws * {dim} parameters must be at most {MAX_DRAW_VALUES} "
+            f"draws values, got {n_chains} * {n_draws}")
+    rng = np.random.default_rng(seed)
     theta0 = np.zeros((n_chains, dim))
     theta0[:, 0] = math.log(10.0)        # kappa
     theta0[:, 1] = 1.0                   # a near its prior mean

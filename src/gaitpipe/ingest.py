@@ -26,6 +26,7 @@ from .core import (
     event_columns,
     finite_number,
     lowpass,
+    open_atomic,
 )
 
 RECORDING_HEADER = ["t", "ax", "ay", "az", "gx", "gy", "gz"]
@@ -132,10 +133,10 @@ def load_recording(source, device_id: str = "", session_id: str = "") -> ImuReco
 
 
 def write_recording(rec: ImuRecording, path) -> None:
-    """Write a recording CSV; the bytes equal those of a ``csv.writer``
-    writing the ``repr`` of each value, rows ended by CRLF."""
+    """Write a recording CSV through open_atomic; the bytes equal those of
+    a ``csv.writer`` writing the ``repr`` of each value, rows ended by CRLF."""
     data = np.column_stack((rec.t, rec.accel, rec.gyro)).astype(float, copy=False)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_atomic(path) as fh:
         fh.write(",".join(RECORDING_HEADER) + "\r\n")
         # row blocks bound the Python floats alive at once
         for start in range(0, len(data), WRITE_BLOCK_ROWS):
@@ -175,7 +176,8 @@ def load_reference_events(source, columns: bool = False
 
 
 def write_reference_events(events, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write a reference event CSV (``t,kind,side``) through open_atomic."""
+    with open_atomic(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENTS_HEADER)
         for ev in events:

@@ -38,16 +38,20 @@ class PipelineResult:
     bouts: list[BoutResult] = field(default_factory=list)
 
 
+def _need_samples(rec: ImuRecording, where: str = "") -> None:
+    if len(rec.t) < MIN_SAMPLES:
+        raise InsufficientDataError(
+            f"processing needs at least {MIN_SAMPLES} samples, got {len(rec.t)}{where}")
+
+
 def process_recording(rec: ImuRecording,
                       config: PipelineConfig = DEFAULT_CONFIG) -> PipelineResult:
     """Run ingest regularization through step detection on one recording
-    of at least MIN_SAMPLES samples."""
+    of at least MIN_SAMPLES samples, and as many on its uniform grid."""
     rec.validate()
-    if len(rec.t) < MIN_SAMPLES:
-        raise InsufficientDataError(
-            f"processing needs at least {MIN_SAMPLES} samples, got {len(rec.t)}")
-
+    _need_samples(rec)
     rec = ingest.ensure_uniform(rec, config.resample_hz)
+    _need_samples(rec, f" on the {rec.sample_rate:g} Hz grid")
     if config.lowpass_cutoff_hz < rec.sample_rate / 2.0:
         rec = ingest.lowpass_accel(rec, config.lowpass_cutoff_hz)
     aligned = orientation.align_recording(rec, beta=config.madgwick_beta)
@@ -73,27 +77,22 @@ def process_recording(rec: ImuRecording,
             # the frame keeps the aligned vertical axis, so accel_an[:, 0]
             # is the signal of the bout's vertical stride analysis and the
             # aligned gyro's column 0 is the anatomical vertical rate
-            stride = stepdetect.estimate_stride_duration(bout.peak)
+            stride_s = stepdetect.estimate_stride_duration(bout.peak)
             params = stepdetect.estimate_wavelet_params(
-                accel_an, fs, stride, bout.vertical_autocorr, ap_autocorr)
-            if config.wavelet_scale is not None:
-                params.scale = config.wavelet_scale
-            if config.wavelet_axis is not None:
-                params.axis = config.wavelet_axis
-            if config.wavelet_sign is not None:
-                params.sign = config.wavelet_sign
+                accel_an, fs, stride_s, bout.vertical_autocorr, ap_autocorr, config)
             events = stepdetect.detect_events(accel_an, fs, params,
                                               t0=bout.start_s)
             events = stepdetect.assign_laterality(events, aligned.gyro[bout.samples],
                                                   fs, t0=bout.start_s)
-            events = stepdetect.quality_check(events, stride)
+            events = stepdetect.quality_check(events, stride_s)
         except (InsufficientDataError, AmbiguousDirectionError) as exc:
             results.append(BoutResult(bout.start_s, bout.end_s, [], str(exc)))
             continue
         results.append(BoutResult(bout.start_s, bout.end_s, events))
+        # bouts are in time order and each one's events lie in
+        # [start_s, end_s), so the recording's events need no sort
         all_events.extend(events)
 
-    all_events.sort(key=lambda e: (e.time_s, e.kind))
     return PipelineResult(segments=segments, events=all_events, bouts=results)
 
 

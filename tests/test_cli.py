@@ -1,3 +1,6 @@
+import builtins
+import errno
+import itertools
 import json
 import random
 from pathlib import Path
@@ -218,6 +221,30 @@ class TestSynthCommand:
                     "--out-segments", tmp_path / "s.json"]) == 1
         assert "cadence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", [100, 50 * 20 * 7 + 10], ids=["recording", "events"])
+    def test_write_failing_part_way_leaves_no_file(self, tmp_path, capsys, monkeypatch,
+                                                   values):
+        """A disk that fills up after so many values of a 20 s recording
+        (7 per sample), or of the events written after it, ends in an error
+        line; the file being written is neither left under its name nor as
+        a temp file, and no later file is written."""
+        calls = itertools.count()
+
+        def repr_until_full(value):
+            if next(calls) == values:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return builtins.repr(value)
+        monkeypatch.setattr(ingest, "repr", repr_until_full, raising=False)
+        cfg = tmp_path / "synth.json"
+        cfg.write_text('{"duration_s": 20.0}')
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["synth", "--config", cfg, "--out-recording", out / "r.csv",
+                    "--out-events", out / "e.csv", "--out-segments", out / "s.json"]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        written = [] if values == 100 else [out / "r.csv"]
+        assert sorted(out.iterdir()) == written
+
     @pytest.mark.parametrize("doc", [
         '{"sensor_rotation": [0, 0, 0, 0]}',
         '{"duration_s": NaN}',
@@ -318,6 +345,11 @@ class TestFactorsCommand:
 TRUTH = b"t,kind,side\n1.0,IC,L\n"
 RECORDING = b"t,ax,ay,az,gx,gy,gz\n0,0,0,9.81,0,0,0\n0.02,%s,0,9.81,0,0,0\n"
 FACTORS = b"f1,age,sex,disease,subject,environment,aid\n0.9,%s,F,HC,0,Indoor,WithAid\n"
+# 20 samples at 100 Hz, 2 on a 10 Hz grid
+SHORT_RECORDING = b"t,ax,ay,az,gx,gy,gz\n" + b"".join(
+    b"%r,0,0,9.81,0,0,0\n" % (i / 100) for i in range(20))
+# the refusal of a draws array larger than factors.MAX_DRAW_VALUES
+TOO_MANY_DRAWS = "n_chains * n_draws * 15 parameters must be at most 134217728 draws values"
 # finite f1 values whose mean and median overflow the float range
 OVERFLOWING_METRICS = {"a.json": b'{"participant": "a", "IC": {"f1": 1e308}}',
                        "b.json": b'{"participant": "b", "IC": {"f1": 1.5e308}}'}
@@ -386,13 +418,27 @@ class TestBadInputFiles:
         (["factors", "f.csv"],
          {"f.csv": (FACTORS % b"50").replace(b",0,", b"," + b"7" * 100_000 + b",")},
          "line 2: subject must be an integer, got '" + "7" * 76 + "...\n"),
+        (["process", "r.csv", "--config", "c.json"],
+         {"r.csv": RECORDING % b"0", "c.json": b'{"resample_hz": 1e12}'},
+         "resample_hz must be null or in [10, 1000] Hz, got 1000000000000.0"),
+        (["process", "r.csv", "--config", "c.json"],
+         {"r.csv": RECORDING % b"0", "c.json": b'{"resample_hz": 0.01}'},
+         "resample_hz must be null or in [10, 1000] Hz, got 0.01"),
+        (["process", "r.csv", "--config", "c.json"],
+         {"r.csv": SHORT_RECORDING, "c.json": b'{"resample_hz": 10}'},
+         "processing needs at least 10 samples, got 2 on the 10 Hz grid"),
+        (["factors", "f.csv", "--draws", "1000000000000", "--warmup", "0"],
+         {"f.csv": FACTORS % b"50"}, TOO_MANY_DRAWS + ", got 2 * 1000000000000"),
+        (["factors", "f.csv", "--chains", "100000000000"],
+         {"f.csv": FACTORS % b"50"}, TOO_MANY_DRAWS + ", got 100000000000 * 1000"),
     ], ids=["truncated-detections", "nested-detections", "bool-time", "non-utf8-reference",
             "metrics-list", "metrics-null-entry", "metrics-list-entry", "text-metric",
             "nan-metric", "bool-metric", "non-utf8-metrics", "non-utf8-recording",
             "nan-recording", "huge-field-recording", "directory-recording",
             "non-utf8-factors", "huge-synth", "zero-sample-synth", "overflowing-metrics",
             "overflowing-metrics-two-stage", "overflowing-participant", "huge-time",
-            "huge-kind", "huge-side", "huge-subject"])
+            "huge-kind", "huge-side", "huge-subject", "huge-resample-rate",
+            "tiny-resample-rate", "short-resampled-grid", "huge-draws", "huge-chains"])
     @pytest.mark.filterwarnings("error")    # a warning would print a second line
     def test_error_line(self, tmp_path, capsys, monkeypatch, argv, files, message):
         monkeypatch.chdir(tmp_path)

@@ -1,6 +1,11 @@
+import builtins
 import csv
+import errno
 import io
+import itertools
 import math
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -219,6 +224,61 @@ class TestWriteRecording:
         ingest.write_recording(rec, got)
         csv_writer_reference(rec, expected)
         assert got.read_bytes() == expected.read_bytes()
+
+
+@pytest.fixture
+def disk_full_after(monkeypatch):
+    """arm(n): the n+1-th value that an ingest writer formats raises the
+    OSError of a full disk, part-way through the file."""
+    def arm(n):
+        calls = itertools.count()
+
+        def repr_until_full(value):
+            if next(calls) == n:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return builtins.repr(value)
+        monkeypatch.setattr(ingest, "repr", repr_until_full, raising=False)
+    return arm
+
+
+class TestAtomicWriters:
+    """A write that fails part-way leaves no file at its path, no temp
+    file beside it, and an older file at the path as it was."""
+
+    EVENTS = [GaitEvent(0.5 * i, "IC", "L") for i in range(20)]
+
+    def _write(self, writer, path):
+        if writer == "recording":
+            ingest.write_recording(make_rec(np.arange(200) / 50.0), path)
+        else:
+            ingest.write_reference_events(self.EVENTS, path)
+
+    @pytest.mark.parametrize("writer", ["recording", "events"])
+    def test_failed_write_leaves_no_file(self, tmp_path, disk_full_after, writer):
+        disk_full_after(10)
+        with pytest.raises(OSError, match="No space left"):
+            self._write(writer, tmp_path / "out.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("writer", ["recording", "events"])
+    def test_failed_write_keeps_older_file(self, tmp_path, disk_full_after, writer):
+        path = tmp_path / "out.csv"
+        path.write_text("older\n")
+        disk_full_after(10)
+        with pytest.raises(OSError, match="No space left"):
+            self._write(writer, path)
+        assert list(tmp_path.iterdir()) == [path] and path.read_text() == "older\n"
+
+    @pytest.mark.parametrize("writer", ["recording", "events"])
+    def test_mode_follows_umask(self, tmp_path, writer):
+        """The file gets open()'s mode, 0o666 less the umask, not the
+        0o600 of a tempfile.mkstemp file."""
+        old_umask = os.umask(0o027)
+        try:
+            self._write(writer, tmp_path / "out.csv")
+        finally:
+            os.umask(old_umask)
+        assert stat.S_IMODE((tmp_path / "out.csv").stat().st_mode) == 0o640
 
 
 # Each reference CSV case reads to the events, or to a ParseError naming

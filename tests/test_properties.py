@@ -114,7 +114,7 @@ def test_no_eligible_bout_overlaps_a_sharp_turn(timeline, sharp_deg):
 def configs():
     positive = st.floats(1e-3, 1e3)
     special = {
-        "resample_hz": st.none() | positive,
+        "resample_hz": st.none() | st.floats(*PipelineConfig.RESAMPLE_HZ_RANGE),
         "gyro_thresh": st.floats(0.2, 0.6),
         "std_thresh": st.floats(0.05, 0.4),
         "wavelet_scale": st.none() | positive,

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitpipe import frame, orientation, stepdetect, synth
 from gaitpipe.core import (
@@ -14,7 +18,7 @@ from gaitpipe.core import (
     SIDE_UNKNOWN,
 )
 from gaitpipe.segmentation import stride_autocorr, verify_gait
-from gaitpipe.stepdetect import StrideEstimate, WaveletParams
+from gaitpipe.stepdetect import MAX_STRIDE_FACTOR, MIN_EVENT_SPACING_S, WaveletParams
 
 
 def walk_anatomical(stride_s=1.2, duration_s=30.0, seed=0, noise=0.0):
@@ -29,8 +33,8 @@ def walk_anatomical(stride_s=1.2, duration_s=30.0, seed=0, noise=0.0):
 
 
 def stride_of(vertical_accel, fs):
-    """estimate_stride_duration fed with verify_gait's stride peak of
-    vertical_accel, as eligible_bouts finds it."""
+    """estimate_stride_duration, in seconds, fed with verify_gait's
+    stride peak of vertical_accel, as eligible_bouts finds it."""
     cfg = PipelineConfig()
     return stepdetect.estimate_stride_duration(
         verify_gait(stride_autocorr(vertical_accel, fs, cfg), fs, cfg))
@@ -48,14 +52,13 @@ def wavelet_params(aa, fs, stride):
 class TestEstimateStride:
     def test_stride_1p2(self):
         aa, _, fs, _ = walk_anatomical(1.2)
-        st = stride_of(aa[:, 0], fs)
-        assert st.stride_s == pytest.approx(1.2, abs=0.05)
-        assert st.max_stride_s == pytest.approx(1.8, abs=0.075)
+        stride = stride_of(aa[:, 0], fs)
+        assert type(stride) is float
+        assert stride == pytest.approx(1.2, abs=0.05)
 
     def test_stride_0p9(self):
         aa, _, fs, _ = walk_anatomical(0.9, seed=1)
-        st = stride_of(aa[:, 0], fs)
-        assert st.stride_s == pytest.approx(0.9, abs=0.05)
+        assert stride_of(aa[:, 0], fs) == pytest.approx(0.9, abs=0.05)
 
     def test_constant_no_cadence(self):
         with pytest.raises(NoCadenceError):
@@ -78,26 +81,26 @@ class TestWaveletParams:
         # replace the AP channel with noise; normalized autocorrelation is
         # amplitude invariant so mere downscaling would not steer the choice
         aa[:, 1] = rng.normal(0, 1.0, len(aa))
-        st = stride_of(aa[:, 0], fs)
-        params = wavelet_params(aa, fs, st)
+        stride = stride_of(aa[:, 0], fs)
+        params = wavelet_params(aa, fs, stride)
         assert params.axis == stepdetect.AXIS_VERTICAL
 
     def test_negating_signal_flips_sign(self):
         aa, _, fs, _ = walk_anatomical(1.2, seed=3)
-        st = stride_of(aa[:, 0], fs)
-        p1 = wavelet_params(aa, fs, st)
+        stride = stride_of(aa[:, 0], fs)
+        p1 = wavelet_params(aa, fs, stride)
         neg = aa.copy()
         col = 0 if p1.axis == stepdetect.AXIS_VERTICAL else 1
         neg[:, col] = -neg[:, col]
-        p2 = wavelet_params(neg, fs, st)
+        p2 = wavelet_params(neg, fs, stride)
         assert p2.sign == -p1.sign
 
 
 class TestDetectEvents:
     def test_clean_gait_ics_within_60ms(self):
         aa, _, fs, events = walk_anatomical(1.2, seed=4)
-        st = stride_of(aa[:, 0], fs)
-        params = wavelet_params(aa, fs, st)
+        stride = stride_of(aa[:, 0], fs)
+        params = wavelet_params(aa, fs, stride)
         det = stepdetect.detect_events(aa, fs, params)
         det_ic = np.array([e.time_s for e in det if e.kind == IC])
         ref_ic = [e.time_s for e in events if e.kind == IC]
@@ -109,8 +112,8 @@ class TestDetectEvents:
         pad = np.zeros((int(10 * fs), 3))
         pad[:, 0] = aa[:, 0].mean()
         padded = np.vstack([aa, pad])
-        st = stride_of(aa[:, 0], fs)
-        params = wavelet_params(aa, fs, st)
+        stride = stride_of(aa[:, 0], fs)
+        params = wavelet_params(aa, fs, stride)
         det = stepdetect.detect_events(padded, fs, params)
         walk_end = len(aa) / fs
         late = [e for e in det if e.time_s > walk_end + 1.0]
@@ -118,12 +121,12 @@ class TestDetectEvents:
 
     def test_amplitude_scaling_exact_index_equality(self):
         aa, _, fs, _ = walk_anatomical(1.2, seed=6)
-        st = stride_of(aa[:, 0], fs)
-        params = wavelet_params(aa, fs, st)
+        stride = stride_of(aa[:, 0], fs)
+        params = wavelet_params(aa, fs, stride)
         base = [(e.kind, round(e.time_s * fs)) for e in
                 stepdetect.detect_events(aa, fs, params)]
         for k in (0.5, 2.0, 10.0):
-            scaled_params = wavelet_params(aa * k, fs, st)
+            scaled_params = wavelet_params(aa * k, fs, stride)
             out = [(e.kind, round(e.time_s * fs)) for e in
                    stepdetect.detect_events(aa * k, fs, scaled_params)]
             assert out == base
@@ -134,10 +137,42 @@ class TestDetectEvents:
         with pytest.raises(InsufficientDataError):
             stepdetect.detect_events(aa[:40], fs, params)
 
+    def test_close_ics_collapse_to_stronger(self):
+        """Of two same-kind extrema closer than MIN_EVENT_SPACING_S the
+        larger is the one detected. With a one-sample scale the IC
+        signal is the negated, lightly smoothed acceleration, so each
+        dip below is one IC candidate and the deeper dip the stronger."""
+        fs = 50.0
+        x = np.zeros((500, 3))
+        x[[100, 105, 200], 0] = [-0.5, -0.9, -0.4]   # 105 is 0.1 s after 100
+        params = WaveletParams(scale=1.0, axis=stepdetect.AXIS_VERTICAL, sign=-1)
+        ics = [round(e.time_s * fs) for e in stepdetect.detect_events(x, fs, params)
+               if e.kind == IC]
+        assert ics == [105, 200]
+        x[100, 0] = -1.2
+        ics = [round(e.time_s * fs) for e in stepdetect.detect_events(x, fs, params)
+               if e.kind == IC]
+        assert ics == [100, 200]
+
+    @pytest.mark.parametrize("fs", [25.0, 50.0, 100.0, 200.0])
+    @settings(deadline=None, max_examples=20)
+    @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.5, 4.0),
+           sign=st.sampled_from([-1, 1]))
+    def test_same_kind_events_whole_samples_apart(self, fs, seed, scale, sign):
+        """Same-kind events are at least ceil(MIN_EVENT_SPACING_S * fs)
+        samples apart; white noise puts extrema closer than that."""
+        x = np.random.default_rng(seed).normal(size=(int(10 * fs), 3))
+        params = WaveletParams(scale=scale, axis=stepdetect.AXIS_VERTICAL, sign=sign)
+        events = stepdetect.detect_events(x, fs, params)
+        for kind in (IC, FC):
+            idx = np.array([round(e.time_s * fs) for e in events if e.kind == kind])
+            assert len(idx) > 1
+            assert np.all(np.diff(idx) >= math.ceil(MIN_EVENT_SPACING_S * fs))
+
     def test_determinism(self):
         aa, _, fs, _ = walk_anatomical(1.2, seed=8, noise=0.3)
-        st = stride_of(aa[:, 0], fs)
-        params = wavelet_params(aa, fs, st)
+        stride = stride_of(aa[:, 0], fs)
+        params = wavelet_params(aa, fs, stride)
         a = stepdetect.detect_events(aa, fs, params)
         b = stepdetect.detect_events(aa, fs, params)
         assert [(e.time_s, e.kind) for e in a] == [(e.time_s, e.kind) for e in b]
@@ -146,8 +181,8 @@ class TestDetectEvents:
 class TestLaterality:
     def _detected_with_sides(self, seed=9):
         aa, gg, fs, events = walk_anatomical(1.2, seed=seed)
-        st = stride_of(aa[:, 0], fs)
-        params = wavelet_params(aa, fs, st)
+        stride = stride_of(aa[:, 0], fs)
+        params = wavelet_params(aa, fs, stride)
         det = stepdetect.detect_events(aa, fs, params)
         return stepdetect.assign_laterality(det, gg, fs), gg, fs, det
 
@@ -182,49 +217,40 @@ class TestLaterality:
 
 
 class TestQualityCheck:
-    STRIDE = StrideEstimate(stride_s=1.0)  # max stride 1.5 s, FC window 0.375
-
-    def test_close_ics_collapse_to_stronger(self):
-        events = [GaitEvent(1.0, IC, strength=0.5),
-                  GaitEvent(1.01, IC, strength=0.9),
-                  GaitEvent(2.0, IC, strength=0.4)]
-        out = stepdetect.quality_check(events, self.STRIDE)
-        times = [e.time_s for e in out if e.kind == IC]
-        assert times == [1.01, 2.0]
+    STRIDE_S = 1.0  # max stride 1.5 s, FC window 0.375
 
     def test_fc_within_quarter_max_stride_kept(self):
-        events = [GaitEvent(1.0, IC, strength=1.0),
-                  GaitEvent(1.3, FC, strength=1.0),
-                  GaitEvent(2.0, IC, strength=1.0)]
-        out = stepdetect.quality_check(events, self.STRIDE)
+        events = [GaitEvent(1.0, IC),
+                  GaitEvent(1.3, FC),
+                  GaitEvent(2.0, IC)]
+        out = stepdetect.quality_check(events, self.STRIDE_S)
         assert any(e.kind == FC and e.time_s == 1.3 for e in out)
 
     def test_fc_beyond_gate_dropped(self):
-        events = [GaitEvent(1.0, IC, strength=1.0),
-                  GaitEvent(1.5, FC, strength=1.0),
-                  GaitEvent(2.0, IC, strength=1.0)]
-        out = stepdetect.quality_check(events, self.STRIDE)
+        events = [GaitEvent(1.0, IC),
+                  GaitEvent(1.5, FC),
+                  GaitEvent(2.0, IC)]
+        out = stepdetect.quality_check(events, self.STRIDE_S)
         assert not any(e.kind == FC for e in out)
 
     def test_orphan_ic_removed(self):
-        events = [GaitEvent(1.0, IC, strength=1.0),
-                  GaitEvent(2.0, IC, strength=1.0),
-                  GaitEvent(10.0, IC, strength=1.0)]
-        out = stepdetect.quality_check(events, self.STRIDE)
+        events = [GaitEvent(1.0, IC),
+                  GaitEvent(2.0, IC),
+                  GaitEvent(10.0, IC)]
+        out = stepdetect.quality_check(events, self.STRIDE_S)
         assert [e.time_s for e in out] == [1.0, 2.0]
 
     def test_fc_gate_matches_per_fc_filter(self):
         """The FCs kept are those of the per-FC filter: the last IC at or
         before the FC, within the FC window. Times are multiples of
         0.125 s, so FCs fall exactly on ICs and on the window's edge
-        (0.375 s); events of one kind are at least MIN_EVENT_SPACING_S
-        apart, so none collapse."""
-        window = 0.25 * self.STRIDE.max_stride_s
+        (0.375 s)."""
+        window = 0.25 * MAX_STRIDE_FACTOR * self.STRIDE_S
 
         def kept_fcs(ic_t, fc_t):
-            events = ([GaitEvent(t, IC, strength=1.0) for t in ic_t]
-                      + [GaitEvent(t, FC, strength=1.0) for t in fc_t])
-            out = stepdetect.quality_check(events, self.STRIDE)
+            events = ([GaitEvent(t, IC) for t in ic_t]
+                      + [GaitEvent(t, FC) for t in fc_t])
+            out = stepdetect.quality_check(events, self.STRIDE_S)
             ics = np.array([e.time_s for e in out if e.kind == IC])
             want = []
             for t in fc_t:
@@ -246,15 +272,15 @@ class TestQualityCheck:
 
     def test_output_ordering_invariants(self):
         aa, gg, fs, _ = walk_anatomical(1.2, seed=10, noise=0.3)
-        st = stride_of(aa[:, 0], fs)
-        params = wavelet_params(aa, fs, st)
+        stride = stride_of(aa[:, 0], fs)
+        params = wavelet_params(aa, fs, stride)
         det = stepdetect.assign_laterality(
             stepdetect.detect_events(aa, fs, params), gg, fs)
-        out = stepdetect.quality_check(det, st)
+        out = stepdetect.quality_check(det, stride)
         ics = [e.time_s for e in out if e.kind == IC]
         fcs = [e.time_s for e in out if e.kind == FC]
         assert ics == sorted(ics) and len(set(ics)) == len(ics)
         assert fcs == sorted(fcs) and len(set(fcs)) == len(fcs)
         for f in fcs:
             prev = [i for i in ics if i <= f]
-            assert prev and f - prev[-1] <= 0.25 * st.max_stride_s
+            assert prev and f - prev[-1] <= 0.25 * MAX_STRIDE_FACTOR * stride
