@@ -1,7 +1,7 @@
 """Timings of the hot kernels: the CSV load, the Madgwick loop, the
-anatomical rotation, the event readers, the event matcher, a whole
-``gaitpipe evaluate`` and a factor-model fit, and the peak memory of one
-``process_recording`` call.
+anatomical rotation, the three event stages of a bout, the event
+readers, the event matcher, a whole ``gaitpipe evaluate`` and a
+factor-model fit, and the peak memory of one ``process_recording`` call.
 
 Run with:  PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
@@ -10,10 +10,13 @@ at 50 Hz (180,000 samples). The rotation input is F-ordered, as the
 bouts of a gravity-aligned recording are. The memory figure is the
 peak of the allocations ``tracemalloc`` sees (numpy arrays included)
 while ``process_recording`` runs on a 1 h ``synth`` walk, i.e. MB per
-hour of recording. The layers of ``gaitpipe evaluate`` that grow with the
-event count run on that walk: the reference readers (into columns, and
-into GaitEvents) read its reference CSV, the detections reader takes
-the loaded JSON document of its detected events, and the matcher pairs
+hour of recording. The event stages ``detect_events``,
+``assign_laterality`` and ``quality_check`` are timed on that walk's
+longest bout, each fed the previous stage's result, with the inputs that
+``process_recording`` gives them. The layers of ``gaitpipe evaluate``
+that grow with the event count run on that walk too: the reference
+reader reads its reference CSV, the detections reader takes the loaded
+JSON document of its detected events, and the matcher pairs
 each kind's reference times with the same times moved by 20 ms Gaussian
 noise, as detections. ``gaitpipe evaluate`` then scores the detected
 events against the reference in-process, ``EVALUATE_CALLS`` times while
@@ -43,8 +46,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from gaitpipe import cli, evaluate, factors, frame, ingest, kernels, pipeline, synth
-from gaitpipe.core import FC, IC, ImuRecording
+from gaitpipe import (cli, evaluate, factors, frame, ingest, kernels, orientation, pipeline,
+                      segmentation, stepdetect, synth)
+from gaitpipe.core import DEFAULT_CONFIG, FC, IC, ImuRecording
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "gaitbench"))
 from bench import bulk_ess  # noqa: E402
@@ -96,13 +100,13 @@ def main():
     tracemalloc.stop()
     print(f"process_recording ({n} samples): {peak / 1e6:9.1f} MB peak traced")
 
+    time_event_stages(walk)
+
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "reference.csv"
         ingest.write_reference_events(events, path)
-        load_cols = best_of(lambda: ingest.load_reference_events(path, columns=True))
-        load_ev = best_of(ingest.load_reference_events, path)
-    print(f"load_reference_events, columns ({len(events)} rows): {load_cols * 1e3:9.1f} ms")
-    print(f"load_reference_events, GaitEvents ({len(events)} rows): {load_ev * 1e3:9.1f} ms")
+        load_ref = best_of(ingest.load_reference_events, path)
+    print(f"load_reference_events ({len(events)} rows): {load_ref * 1e3:9.1f} ms")
 
     text = best_of(pipeline.events_json_text, detected)
     dumps = best_of(lambda: json.dumps(pipeline.events_to_json(detected), indent=2))
@@ -140,6 +144,38 @@ def main():
           f"{FIT_CHAINS} chains, {iters} iterations): {fit_s:.2f} s, "
           f"{fit_s / iters * 1e3:.3f} ms per iteration, "
           f"min bulk ESS {ess:.0f} = {ess / fit_s:.0f} per s")
+
+
+def time_event_stages(walk) -> None:
+    """Print the best-of-3 seconds of each event stage on the longest bout
+    of walk, with the inputs that process_recording gives it."""
+    cfg = DEFAULT_CONFIG
+    rec = ingest.lowpass_accel(ingest.ensure_uniform(walk), cfg.lowpass_cutoff_hz)
+    aligned = orientation.align_recording(rec, beta=cfg.madgwick_beta)
+    fs = aligned.sample_rate
+    segments = segmentation.refine_with_turns(segmentation.segment(aligned, cfg),
+                                              segmentation.detect_turns(aligned, cfg), cfg)
+    bout = max(segmentation.eligible_bouts(aligned, segments, cfg), key=lambda b: b.duration_s)
+    accel = aligned.accel[bout.samples]
+    accel_an = frame.to_anatomical(accel, frame.estimate_frame(accel, fs, cfg))
+    stride_s = stepdetect.estimate_stride_duration(bout.peak)
+    params = stepdetect.estimate_wavelet_params(
+        accel_an, fs, stride_s, bout.vertical_autocorr,
+        segmentation.stride_autocorr(accel_an[:, 1], fs, cfg), cfg)
+    gyro = aligned.gyro[bout.samples]
+
+    detected = stepdetect.detect_events(accel_an, fs, params, t0=bout.start_s)
+    sided = stepdetect.assign_laterality(detected, gyro, fs, t0=bout.start_s)
+    stages = [
+        ("detect_events", lambda: stepdetect.detect_events(accel_an, fs, params,
+                                                           t0=bout.start_s)),
+        ("assign_laterality", lambda: stepdetect.assign_laterality(detected, gyro, fs,
+                                                                   t0=bout.start_s)),
+        ("quality_check", lambda: stepdetect.quality_check(sided, stride_s)),
+    ]
+    for name, stage in stages:
+        print(f"{name} ({len(detected)} events, {len(accel)} samples): "
+              f"{best_of(stage) * 1e3:9.1f} ms")
 
 
 def time_evaluate(detected, reference) -> tuple[list[float], int]:

@@ -58,20 +58,17 @@ def cmd_process(args) -> int:
     return 0
 
 
-def _times_by_kind(times: list[float], kinds: list[str]) -> dict[str, np.ndarray]:
-    """The sorted times of each kind. The sort is stable, so equal times
-    (-0.0 and 0.0) keep their order in the file."""
-    times, kinds = np.array(times, dtype=float), np.array(kinds, dtype=str)
-    return {kind: np.sort(times[kinds == kind], kind="stable") for kind in (IC, FC)}
+def _times_by_kind(events: np.recarray) -> dict[str, np.ndarray]:
+    """The sorted times of each kind of an event_table. The sort is
+    stable, so equal times (-0.0 and 0.0) keep their order in the file."""
+    return {kind: np.sort(events.time_s[events.kind == kind], kind="stable")
+            for kind in (IC, FC)}
 
 
 def cmd_evaluate(args) -> int:
-    # columns all the way: a GaitEvent per event would keep ~13k objects
-    # that the garbage collector tracks alive through a 1 h walk's call
-    det_times, det_kinds, _ = pipeline.event_columns_from_json(read_json(args.events))
-    ref_times, ref_kinds, _ = ingest.load_reference_events(args.reference, columns=True)
-    det_times = _times_by_kind(det_times, det_kinds)
-    ref_times = _times_by_kind(ref_times, ref_kinds)
+    # event tables, not ~13k GaitEvents for the garbage collector to track on a 1 h walk
+    det_times = _times_by_kind(pipeline.event_columns_from_json(read_json(args.events)))
+    ref_times = _times_by_kind(ingest.load_reference_events(args.reference))
     out = {"window_s": args.window, "participant": args.participant}
     for kind in (IC, FC):
         report = match_events(det_times[kind], ref_times[kind],

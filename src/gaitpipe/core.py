@@ -7,6 +7,7 @@ import math
 import numbers
 import os
 import secrets
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
@@ -361,12 +362,27 @@ class GaitEvent:
 
 EVENT_KINDS = (IC, FC)
 EVENT_SIDES = (SIDE_LEFT, SIDE_RIGHT, SIDE_UNKNOWN)
+EVENT_DTYPE = np.dtype([("time_s", float), ("kind", "U2"), ("side", "U1")])
 
 
-def event_columns(times: list, kinds: list, sides: list,
-                  where) -> tuple[list[float], list, list]:
-    """The time, kind and side columns of a list of events, with each
-    time read by ``finite_number``.
+def event_table(times, kinds, sides) -> np.recarray:
+    """The one event list inside gaitpipe: a record array of EVENT_DTYPE,
+    whose records read ``.time_s``, ``.kind`` and ``.side`` like a
+    GaitEvent. Valid values only: the U2 and U1 fields cut a longer string."""
+    table = np.recarray(len(times), dtype=EVENT_DTYPE)
+    table.time_s, table.kind, table.side = times, kinds, sides
+    return table
+
+
+def gait_events(table: np.recarray) -> list[GaitEvent]:
+    """The public results' GaitEvents: Python floats, interned kind and side strs."""
+    return list(map(GaitEvent, table.time_s.tolist(), map(sys.intern, table.kind.tolist()),
+                    map(sys.intern, table.side.tolist())))
+
+
+def event_columns(times: list, kinds: list, sides: list, where) -> np.recarray:
+    """The event_table of a list of events, with each time read by
+    ``finite_number``.
 
     Every time must be a finite number, every kind in EVENT_KINDS and
     every side in EVENT_SIDES. Each check runs once over its whole
@@ -379,7 +395,7 @@ def event_columns(times: list, kinds: list, sides: list,
         # float takes a bool, finite_number does not
         if (bool not in set(map(type, times)) and all(map(math.isfinite, floats))
                 and set(kinds) <= set(EVENT_KINDS) and set(sides) <= set(EVENT_SIDES)):
-            return floats, kinds, sides
+            return event_table(floats, kinds, sides)
     except (TypeError, ValueError, OverflowError):  # no number; an unhashable kind
         pass
     for i, (t, kind, side) in enumerate(zip(times, kinds, sides)):

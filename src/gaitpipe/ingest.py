@@ -18,10 +18,11 @@ import numpy as np
 from .core import (
     ConfigurationError,
     ContractError,
-    GaitEvent,
+    DEFAULT_CONFIG,
     ImuRecording,
     InsufficientDataError,
     ParseError,
+    PipelineConfig,
     echo,
     event_columns,
     finite_number,
@@ -32,6 +33,8 @@ from .core import (
 RECORDING_HEADER = ["t", "ax", "ay", "az", "gx", "gy", "gz"]
 EVENTS_HEADER = ["t", "kind", "side"]
 WRITE_BLOCK_ROWS = 8192
+# grid samples per row read: a gap-free recording resampled from 10 to 1000 Hz
+MAX_GRID_FACTOR = PipelineConfig.RESAMPLE_HZ_RANGE[1] / PipelineConfig.RESAMPLE_HZ_RANGE[0]
 
 
 def _open_text(source):
@@ -144,11 +147,8 @@ def write_recording(rec: ImuRecording, path) -> None:
                           for row in data[start:start + WRITE_BLOCK_ROWS].tolist())
 
 
-def load_reference_events(source, columns: bool = False
-                          ) -> list[GaitEvent] | tuple[list[float], list[str], list[str]]:
-    """Parse a reference event CSV (``t,kind,side``) into GaitEvents, or,
-    with ``columns``, into the ``(times, kinds, sides)`` columns of
-    ``event_columns`` with no per-event object built.
+def load_reference_events(source) -> np.recarray:
+    """Parse a reference event CSV (``t,kind,side``) into an event_table.
 
     Kinds and sides may be padded with spaces. The columns are checked
     by ``event_columns``; a ParseError names the first bad line, whether
@@ -169,10 +169,7 @@ def load_reference_events(source, columns: bool = False
         # a bad value on an earlier line comes first
         event_columns(times, kinds, sides, line)
         raise
-    times, kinds, sides = event_columns(times, kinds, sides, line)
-    if columns:
-        return times, kinds, sides
-    return list(map(GaitEvent, times, kinds, sides))
+    return event_columns(times, kinds, sides, line)
 
 
 def write_reference_events(events, path) -> None:
@@ -185,12 +182,16 @@ def write_reference_events(events, path) -> None:
 
 
 def resample(rec: ImuRecording, target_rate: float) -> ImuRecording:
-    """Linearly interpolate onto a uniform grid from first to last timestamp."""
+    """Linearly interpolate onto a uniform grid from first to last timestamp; a
+    grid of more than MAX_GRID_FACTOR samples per row of rec raises ContractError."""
     if target_rate <= 0:
         raise ConfigurationError("target_rate must be positive")
     if len(rec.t) < 2:
         raise InsufficientDataError("resampling needs at least 2 samples")
     t0, t1 = rec.t[0], rec.t[-1]
+    if float(t1 - t0) * target_rate + 1.0 > MAX_GRID_FACTOR * len(rec.t):
+        raise ContractError(f"a {target_rate:g} Hz grid over {float(t1 - t0):g} s would hold more "
+                            f"than {MAX_GRID_FACTOR:g} samples per row read ({len(rec.t)} rows)")
     n = int(np.floor((t1 - t0) * target_rate + 1e-9)) + 1
     grid = t0 + np.arange(n) / target_rate
     accel = np.column_stack([np.interp(grid, rec.t, rec.accel[:, k]) for k in range(3)])
@@ -214,7 +215,8 @@ def ensure_uniform(rec: ImuRecording, target_rate: float | None = None) -> ImuRe
     return resample(rec, 1.0 / float(np.median(dt)))
 
 
-def lowpass_accel(rec: ImuRecording, cutoff: float = 17.0) -> ImuRecording:
+def lowpass_accel(rec: ImuRecording,
+                  cutoff: float = DEFAULT_CONFIG.lowpass_cutoff_hz) -> ImuRecording:
     """Zero-phase second-order Butterworth low-pass on the accelerometer.
 
     The gyroscope passes through unchanged. Edges are reflect-padded by

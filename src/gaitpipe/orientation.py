@@ -5,6 +5,7 @@ import numpy as np
 
 from . import kernels
 from .core import (
+    DEFAULT_CONFIG,
     ContractError,
     GravityAlignedRecording,
     ImuRecording,
@@ -13,7 +14,7 @@ from .core import (
     quat_to_matrix,
 )
 
-DEFAULT_BETA = 0.041
+DEFAULT_BETA = DEFAULT_CONFIG.madgwick_beta
 # samples per block of rotation matrices in align_with_gravity
 ALIGN_BLOCK = 8192
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import frame as frame_mod
 from . import ingest, orientation, segmentation, stepdetect
 from .core import (
@@ -17,6 +19,7 @@ from .core import (
     PipelineConfig,
     Segment,
     event_columns,
+    gait_events,
 )
 
 # the accelerometer low-pass pads each edge with 9 samples
@@ -84,7 +87,7 @@ def process_recording(rec: ImuRecording,
                                               t0=bout.start_s)
             events = stepdetect.assign_laterality(events, aligned.gyro[bout.samples],
                                                   fs, t0=bout.start_s)
-            events = stepdetect.quality_check(events, stride_s)
+            events = gait_events(stepdetect.quality_check(events, stride_s))
         except (InsufficientDataError, AmbiguousDirectionError) as exc:
             results.append(BoutResult(bout.start_s, bout.end_s, [], str(exc)))
             continue
@@ -123,15 +126,14 @@ def segments_to_json(segments: list[Segment]) -> list[dict]:
 
 def events_from_json(doc) -> list[GaitEvent]:
     """GaitEvents from a detections JSON list; see event_columns_from_json."""
-    return list(map(GaitEvent, *event_columns_from_json(doc)))
+    return gait_events(event_columns_from_json(doc))
 
 
-def event_columns_from_json(doc) -> tuple[list[float], list[str], list[str]]:
-    """The time, kind and side columns of a detections JSON list of
-    objects, each with a finite number ``time_s``, a ``kind`` in
-    EVENT_KINDS and an optional ``side`` in EVENT_SIDES (default U).
-    Anything else raises ParseError, naming the index of the first bad
-    event."""
+def event_columns_from_json(doc) -> np.recarray:
+    """The event_table of a detections JSON list of objects, each with a
+    finite number ``time_s``, a ``kind`` in EVENT_KINDS and an optional
+    ``side`` in EVENT_SIDES (default U). Anything else raises
+    ParseError, naming the index of the first bad event."""
     if not isinstance(doc, list):
         raise ParseError(f"detections must be a JSON list of events, "
                          f"got {type(doc).__name__}")

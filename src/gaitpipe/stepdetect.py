@@ -13,13 +13,13 @@ from .core import (
     DEFAULT_CONFIG,
     FC,
     IC,
-    GaitEvent,
     InsufficientDataError,
     NoCadenceError,
     PipelineConfig,
     SIDE_LEFT,
     SIDE_RIGHT,
     SIDE_UNKNOWN,
+    event_table,
     lowpass,
 )
 # importable from here because gaitbench wraps these bindings by name
@@ -32,10 +32,12 @@ PROMINENCE_FRACTION = 0.1
 MIN_EVENT_SPACING_S = 0.25
 # 50% tolerance on the estimated stride duration
 MAX_STRIDE_FACTOR = 1.5
+# an FC falls within this fraction of the maximum stride after its IC
+FC_WINDOW_FRACTION = 0.25
 LATERALITY_LOWPASS_HZ = 2.0
 LATERALITY_MIN_RAD_S = 0.05
-OPPOSITE_SIDE = {SIDE_LEFT: SIDE_RIGHT, SIDE_RIGHT: SIDE_LEFT,
-                 SIDE_UNKNOWN: SIDE_UNKNOWN}
+# the side of each sign of the vertical rate: -1 right, 0 unknown, +1 left
+SIDE_OF_SIGN = np.array([SIDE_RIGHT, SIDE_UNKNOWN, SIDE_LEFT])
 AXIS_COLUMN = {AXIS_VERTICAL: 0, AXIS_AP: 1}
 
 
@@ -77,13 +79,11 @@ def scale_for_step_frequency(stride_s: float, fs: float) -> float:
     return fs * stride_s / (4.0 * np.pi)
 
 
-def _integrate_detrended(axis_signal: np.ndarray, fs: float) -> np.ndarray:
-    detr = axis_signal - axis_signal.mean()
-    return np.concatenate([[0.0], np.cumsum((detr[1:] + detr[:-1]) / 2.0)]) / fs
-
-
 def _smoothed_derivative(axis_signal: np.ndarray, scale: float, fs: float) -> np.ndarray:
-    return cwt_differentiate(_integrate_detrended(axis_signal, fs), scale)
+    """The gaus1 derivative of the detrended, trapezoid-integrated signal."""
+    detr = axis_signal - axis_signal.mean()
+    integral = np.concatenate([[0.0], np.cumsum((detr[1:] + detr[:-1]) / 2.0)]) / fs
+    return cwt_differentiate(integral, scale)
 
 
 def estimate_wavelet_params(accel_anatomical: np.ndarray, fs: float,
@@ -136,9 +136,10 @@ def _estimate_sign(axis_signal: np.ndarray, scale: float, fs: float) -> int:
 
 
 def detect_events(accel_anatomical: np.ndarray, fs: float,
-                  params: WaveletParams, t0: float = 0.0) -> list[GaitEvent]:
-    """ICs from the smoothed derivative of the integrated axis signal,
-    FCs from a second wavelet differentiation of that signal. Events of
+                  params: WaveletParams, t0: float = 0.0) -> np.recarray:
+    """The event_table of a bout, ordered by time and then kind: ICs
+    from the smoothed derivative of the integrated axis signal, FCs from
+    a second wavelet differentiation of that signal, sides U. Events of
     one kind are at least ceil(MIN_EVENT_SPACING_S * fs) samples apart;
     of two closer extrema the larger is kept."""
     x = accel_anatomical[:, AXIS_COLUMN[params.axis]]
@@ -150,74 +151,51 @@ def detect_events(accel_anatomical: np.ndarray, fs: float,
 
     dist = math.ceil(MIN_EVENT_SPACING_S * fs)
     ic_signal, fc_signal = (-s1, s2) if params.sign < 0 else (s1, -s2)
-    events = []
+    idx, kinds = np.empty(0, dtype=int), np.empty(0, dtype="U2")
     for kind, signal in ((IC, ic_signal), (FC, fc_signal)):
         # the height gate rejects near-zero bumps that borrow prominence
         # from convolution edge transients
         prom = PROMINENCE_FRACTION * np.max(np.abs(signal))
         if prom > 0:
-            idx, _ = find_peaks(signal, prominence=prom, height=prom, distance=dist)
-            # Python ints, so the events carry float times
-            events += [GaitEvent(time_s=t0 + i / fs, kind=kind) for i in idx.tolist()]
-    events.sort(key=lambda e: (e.time_s, e.kind))
-    return events
+            peaks, _ = find_peaks(signal, prominence=prom, height=prom, distance=dist)
+            idx, kinds = np.append(idx, peaks), np.append(kinds, np.full(len(peaks), kind))
+    times = t0 + idx / fs
+    order = np.lexsort((kinds, times))
+    return event_table(times[order], kinds[order], SIDE_UNKNOWN)
 
 
-def assign_laterality(events: list[GaitEvent], gyro_anatomical: np.ndarray,
-                      fs: float, t0: float = 0.0) -> list[GaitEvent]:
-    """IC side from the sign of the low-pass filtered vertical angular
-    velocity; each FC inherits the opposite side of its preceding IC.
-    The events are in time order, as detect_events and quality_check
-    return them."""
+def assign_laterality(events: np.recarray, gyro_anatomical: np.ndarray,
+                      fs: float, t0: float = 0.0) -> np.recarray:
+    """The events, ordered by time and then kind as detect_events and
+    quality_check return them, with their sides: an IC's from the sign
+    of the low-pass filtered vertical angular velocity at its sample, an
+    FC's the opposite of the last IC before it (U before the first)."""
     yaw = gyro_anatomical[:, 0]
     if len(yaw) > 15 and LATERALITY_LOWPASS_HZ < fs / 2.0:
         yaw = lowpass(yaw, LATERALITY_LOWPASS_HZ, fs)
-
-    out = []
-    last_ic_side = SIDE_UNKNOWN
-    for ev in events:
-        if ev.kind == IC:
-            i = int(round((ev.time_s - t0) * fs))
-            i = min(max(i, 0), len(yaw) - 1)
-            if abs(yaw[i]) < LATERALITY_MIN_RAD_S:
-                side = SIDE_UNKNOWN
-            elif yaw[i] > 0:
-                side = SIDE_LEFT
-            else:
-                side = SIDE_RIGHT
-            last_ic_side = side
-        else:
-            side = OPPOSITE_SIDE[last_ic_side]
-        out.append(GaitEvent(time_s=ev.time_s, kind=ev.kind, side=side))
-    return out
+    rate = yaw[np.clip(np.rint((events.time_s - t0) * fs), 0, len(yaw) - 1).astype(int)]
+    sign = np.where(np.abs(rate) < LATERALITY_MIN_RAD_S, 0, np.sign(rate)).astype(int)
+    is_ic = events.kind == IC
+    last_ic = np.maximum.accumulate(np.where(is_ic, np.arange(len(events)), -1))
+    # index -1, no IC yet, reads the appended 0
+    sign = np.where(is_ic, sign, -np.append(sign, 0)[last_ic])
+    return event_table(events.time_s, events.kind, SIDE_OF_SIGN[sign + 1])
 
 
-def quality_check(events: list[GaitEvent], stride_s: float) -> list[GaitEvent]:
-    """Remove implausible events from time-ordered ones.
-
-    Isolated ICs with no neighbor within the maximum stride duration
-    (MAX_STRIDE_FACTOR * stride_s) are dropped; FCs must fall within 25%
-    of the maximum stride duration after the preceding IC.
-    """
+def quality_check(events: np.recarray, stride_s: float) -> np.recarray:
+    """The plausible ones of events ordered by time and then kind: each IC
+    with another IC within the maximum stride (MAX_STRIDE_FACTOR *
+    stride_s), or the only IC, and each FC within FC_WINDOW_FRACTION of
+    the maximum stride after the last kept IC at or before it."""
     max_stride = MAX_STRIDE_FACTOR * stride_s
-    fc_window = 0.25 * max_stride
-    ics = [e for e in events if e.kind == IC]
-    fcs = [e for e in events if e.kind == FC]
-
-    # drop orphan ICs: no neighboring IC within the maximum stride duration
-    if len(ics) > 1:
-        kept_ics = []
-        for i, ev in enumerate(ics):
-            prev_ok = i > 0 and ev.time_s - ics[i - 1].time_s <= max_stride
-            next_ok = i < len(ics) - 1 and ics[i + 1].time_s - ev.time_s <= max_stride
-            if prev_ok or next_ok:
-                kept_ics.append(ev)
-        ics = kept_ics
-
-    # the last IC at or before each FC
-    ic_times = np.array([e.time_s for e in ics])
-    last_ic = np.searchsorted(ic_times, [e.time_s for e in fcs], side="right")
-    kept_fcs = [ev for ev, k in zip(fcs, last_ic)
-                if k and ev.time_s - ic_times[k - 1] <= fc_window]
-
-    return sorted(ics + kept_fcs, key=lambda e: (e.time_s, e.kind))
+    t = events.time_s
+    is_ic = events.kind == IC
+    near = np.diff(t[is_ic]) <= max_stride
+    keep = is_ic.copy()
+    if len(near):
+        keep[is_ic] = np.append(False, near) | np.append(near, False)
+    # each event's last kept IC at or before it, -inf before the first
+    kept_ic_t = np.append(-np.inf, t[keep])
+    last_ic_t = kept_ic_t[np.searchsorted(kept_ic_t, t, side="right") - 1]
+    keep |= ~is_ic & (t - last_ic_t <= FC_WINDOW_FRACTION * max_stride)
+    return events[keep]

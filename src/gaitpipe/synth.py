@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import (
     GRAVITY,
+    DEFAULT_CONFIG,
     Config,
     ConfigurationError,
     FC,
@@ -32,6 +33,7 @@ from .core import (
     quat_to_matrix,
 )
 from .segmentation import TurnInterval, refine_with_turns
+from .stepdetect import FC_WINDOW_FRACTION, MAX_STRIDE_FACTOR
 
 SECOND_HARMONIC = 0.2
 STEP_MODULATION = 0.3
@@ -77,10 +79,11 @@ class SynthConfig(Config):
                 and 0 < sum(float(v) * float(v) for v in q) < np.inf):
             raise ConfigurationError(
                 "sensor_rotation must be 4 finite values with a finite, non-zero norm")
-        if not 0.4 <= self.stride_s <= 2.25:
-            raise ConfigurationError("stride_s outside [0.4, 2.25] s")
-        if not 0.0 < self.fc_phase < 0.25 * 1.5:
-            raise ConfigurationError("fc_phase outside the 25%-of-max-stride gate")
+        low, high = DEFAULT_CONFIG.stride_lag_min_s, DEFAULT_CONFIG.stride_lag_max_s
+        if not low <= self.stride_s <= high:
+            raise ConfigurationError(f"stride_s outside [{low:g}, {high:g}] s")
+        if not 0.0 < self.fc_phase < FC_WINDOW_FRACTION * MAX_STRIDE_FACTOR:
+            raise ConfigurationError("fc_phase outside the FC window of quality_check")
         samples = self.duration_s * self.sample_rate_hz   # generate() makes round(samples)
         if self.sample_rate_hz <= 0 or not 0.5 < samples <= 2 ** 31 + 0.5:
             raise ConfigurationError("sample_rate_hz must be positive and duration_s * "

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gaitpipe import cli, ingest, pipeline
+from gaitpipe import cli, core, ingest, pipeline
 from gaitpipe.pipeline import PipelineConfig
 
 
@@ -348,6 +348,10 @@ FACTORS = b"f1,age,sex,disease,subject,environment,aid\n0.9,%s,F,HC,0,Indoor,Wit
 # 20 samples at 100 Hz, 2 on a 10 Hz grid
 SHORT_RECORDING = b"t,ax,ay,az,gx,gy,gz\n" + b"".join(
     b"%r,0,0,9.81,0,0,0\n" % (i / 100) for i in range(20))
+# 13 samples 1 us apart, then one 1e6 s on: a 1 MHz grid over the gap
+# would hold 1e12 samples
+SPARSE_RECORDING = b"t,ax,ay,az,gx,gy,gz\n" + b"".join(
+    b"%r,0,0,9.81,0,0,0\n" % t for t in [i * 1e-6 for i in range(13)] + [1e6])
 # the refusal of a draws array larger than factors.MAX_DRAW_VALUES
 TOO_MANY_DRAWS = "n_chains * n_draws * 15 parameters must be at most 134217728 draws values"
 # finite f1 values whose mean and median overflow the float range
@@ -427,6 +431,8 @@ class TestBadInputFiles:
         (["process", "r.csv", "--config", "c.json"],
          {"r.csv": SHORT_RECORDING, "c.json": b'{"resample_hz": 10}'},
          "processing needs at least 10 samples, got 2 on the 10 Hz grid"),
+        (["process", "r.csv"], {"r.csv": SPARSE_RECORDING},
+         "would hold more than 100 samples per row read (14 rows)"),
         (["factors", "f.csv", "--draws", "1000000000000", "--warmup", "0"],
          {"f.csv": FACTORS % b"50"}, TOO_MANY_DRAWS + ", got 2 * 1000000000000"),
         (["factors", "f.csv", "--chains", "100000000000"],
@@ -438,7 +444,8 @@ class TestBadInputFiles:
             "non-utf8-factors", "huge-synth", "zero-sample-synth", "overflowing-metrics",
             "overflowing-metrics-two-stage", "overflowing-participant", "huge-time",
             "huge-kind", "huge-side", "huge-subject", "huge-resample-rate",
-            "tiny-resample-rate", "short-resampled-grid", "huge-draws", "huge-chains"])
+            "tiny-resample-rate", "short-resampled-grid", "sparse-grid", "huge-draws",
+            "huge-chains"])
     @pytest.mark.filterwarnings("error")    # a warning would print a second line
     def test_error_line(self, tmp_path, capsys, monkeypatch, argv, files, message):
         monkeypatch.chdir(tmp_path)
@@ -472,14 +479,14 @@ class TestEvaluateCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("a GaitEvent was built")
 
-        monkeypatch.setattr(ingest, "GaitEvent", refuse)
+        monkeypatch.setattr(core, "GaitEvent", refuse)
         monkeypatch.setattr(pipeline, "GaitEvent", refuse)
         detections, truth = tmp_path / "d.json", tmp_path / "t.csv"
         detections.write_text('[{"time_s": 1.0, "kind": "IC", "side": "L"}, '
                               '{"time_s": 1.6, "kind": "FC"}]')
         truth.write_bytes(b"t,kind,side\n1.02,IC,L\n1.6,FC,R\n2.5,IC,R\n")
-        with pytest.raises(AssertionError):     # the patch reaches the readers
-            ingest.load_reference_events(truth)
+        with pytest.raises(AssertionError):     # the patch reaches the API edge
+            pipeline.events_from_json(json.loads(detections.read_text()))
         out = tmp_path / "m.json"
         assert run(["evaluate", detections, truth, "--out", out]) == 0
         doc = json.loads(out.read_text())

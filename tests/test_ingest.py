@@ -20,6 +20,7 @@ from gaitpipe.core import (
     ImuRecording,
     InsufficientDataError,
     ParseError,
+    gait_events,
 )
 
 # analytic double-pass |H|^2 of the bilinear-transform 2nd-order
@@ -352,18 +353,21 @@ class TestReferenceEvents:
 
     @pytest.mark.parametrize("text, expected", REFERENCE_CASES, ids=REFERENCE_CASE_IDS)
     def test_columns_and_events_read_alike(self, text, expected):
-        def read(load):
-            try:
-                return load(text.encode())
-            except ParseError as exc:
-                return str(exc)
-
-        columns = read(lambda source: ingest.load_reference_events(source, columns=True))
-        events = read(ingest.load_reference_events)
-        if isinstance(expected, str):
-            assert columns == events == expected
-        else:
-            assert list(map(GaitEvent, *columns)) == events
+        """The event table, read as columns and record by record, and the
+        GaitEvents built from it at the API edge hold the same values;
+        the GaitEvents hold Python floats and strs."""
+        try:
+            table = ingest.load_reference_events(text.encode())
+        except ParseError as exc:
+            assert str(exc) == expected
+            return
+        assert list(zip(table.time_s.tolist(), table.kind.tolist(),
+                        table.side.tolist())) == expected
+        assert [(r.time_s, r.kind, r.side) for r in table] == expected
+        events = gait_events(table)
+        assert [(e.time_s, e.kind, e.side) for e in events] == expected
+        assert all(type(e.time_s) is float and type(e.kind) is type(e.side) is str
+                   for e in events)
 
     def test_path_bytes_and_stream_sources_agree(self, tmp_path):
         text = "t,kind,side\r\n0.5,IC,L\r\n\r\n0.62,FC,R\r\n"
@@ -372,9 +376,9 @@ class TestReferenceEvents:
         with open(path, encoding="utf-8", newline="") as stream:
             from_stream = ingest.load_reference_events(stream)
             assert not stream.closed
-        assert (ingest.load_reference_events(path)
-                == ingest.load_reference_events(text.encode())
-                == from_stream
+        assert (gait_events(ingest.load_reference_events(path))
+                == gait_events(ingest.load_reference_events(text.encode()))
+                == gait_events(from_stream)
                 == [GaitEvent(0.5, "IC", "L"), GaitEvent(0.62, "FC", "R")])
 
 

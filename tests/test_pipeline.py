@@ -307,7 +307,8 @@ class TestEventJson:
             "not-a-list", "bad-kind-before-non-object", "int-beyond-float"])
     def test_column_pass_equals_entry_loop(self, doc, expected):
         try:
-            got = pipeline.event_columns_from_json(doc)
+            table = pipeline.event_columns_from_json(doc)
+            got = (table.time_s.tolist(), table.kind.tolist(), table.side.tolist())
         except ParseError as exc:
             got = str(exc)
         assert got == expected

@@ -20,6 +20,7 @@ from gaitpipe import cli, evaluate, factors, ingest, pipeline, segmentation, ste
 from gaitpipe.core import (
     ConfigurationError,
     ContractError,
+    EVENT_DTYPE,
     EVENT_KINDS,
     EVENT_SIDES,
     GaitEvent,
@@ -28,6 +29,7 @@ from gaitpipe.core import (
     ParseError,
     Segment,
     SegmentKind,
+    gait_events,
 )
 from gaitpipe.pipeline import PipelineConfig
 from gaitpipe.segmentation import TurnInterval
@@ -364,7 +366,7 @@ def test_reference_csv_round_trip_and_first_bad_line(evs, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ref.csv"
         ingest.write_reference_events(evs, path)
-        assert ingest.load_reference_events(path) == evs
+        assert gait_events(ingest.load_reference_events(path)) == evs
         lines = path.read_bytes().decode().split("\r\n")
     if not evs:
         return
@@ -492,11 +494,14 @@ detections_docs = json_values | st.lists(event_objects | json_values, max_size=4
 @given(detections_docs)
 def test_any_json_gives_event_columns_or_parse_error(doc):
     try:
-        times, kinds, sides = pipeline.event_columns_from_json(doc)
+        table = pipeline.event_columns_from_json(doc)
     except GaitPipeError:
         return
-    assert all(type(t) is float and math.isfinite(t) for t in times)
+    assert table.dtype == EVENT_DTYPE and np.isfinite(table.time_s).all()
     assert not any(isinstance(d.get("time_s"), bool) for d in doc)
+    # the table holds each kind and side whole, not cut to its field width
+    assert table.kind.tolist() == [d["kind"] for d in doc]
+    assert table.side.tolist() == [d.get("side", "U") for d in doc]
 
 
 kind_entries = st.fixed_dictionaries({}, optional={"f1": st.floats(0, 1) | json_values})

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from gaitpipe import synth
+from gaitpipe import stepdetect, synth
 from gaitpipe.core import (
+    DEFAULT_CONFIG,
     ConfigurationError,
     FC,
     IC,
@@ -25,10 +26,13 @@ class TestConfig:
         synth.SynthConfig().validate()
 
     def test_stride_range(self):
-        with pytest.raises(ConfigurationError):
-            synth.SynthConfig(stride_s=0.2).validate()
-        with pytest.raises(ConfigurationError):
-            synth.SynthConfig(stride_s=3.0).validate()
+        """stride_s stays inside the pipeline's default stride lag band."""
+        low, high = DEFAULT_CONFIG.stride_lag_min_s, DEFAULT_CONFIG.stride_lag_max_s
+        synth.SynthConfig(stride_s=low)
+        synth.SynthConfig(stride_s=high)
+        for stride in (0.2, math.nextafter(low, 0.0), math.nextafter(high, 3.0), 3.0):
+            with pytest.raises(ConfigurationError, match="stride_s"):
+                synth.SynthConfig(stride_s=stride)
 
     def test_script_must_tile_duration(self):
         with pytest.raises(ConfigurationError):
@@ -41,8 +45,11 @@ class TestConfig:
                               script=[Phase("jump", 5.0)]).validate()
 
     def test_fc_phase_gate(self):
-        with pytest.raises(ConfigurationError):
-            synth.SynthConfig(fc_phase=0.4).validate()
+        """fc_phase stays inside the FC window of stepdetect.quality_check."""
+        bound = stepdetect.FC_WINDOW_FRACTION * stepdetect.MAX_STRIDE_FACTOR
+        synth.SynthConfig(fc_phase=math.nextafter(bound, 0.0))
+        with pytest.raises(ConfigurationError, match="fc_phase"):
+            synth.SynthConfig(fc_phase=bound)
 
     @pytest.mark.parametrize("key, value", [
         ("duration_s", math.nan), ("sample_rate_hz", math.inf),
