@@ -119,7 +119,7 @@ def main():
 
     pairs = []
     for kind in (IC, FC):
-        ref = [e.time_s for e in events if e.kind == kind]
+        ref = events.time_s[events.kind == kind].tolist()
         det = sorted(t + rng.normal(0, 0.02) for t in ref)
         pairs.append((det, ref))
     match = best_of(lambda: [evaluate.match_events(det, ref) for det, ref in pairs])

@@ -9,9 +9,10 @@ of acceptance criterion 6 (a 114.6 and a 57.3 degree turn), the 24
 recording of seed 903 (from gaitbench/workloads.py). Each one goes
 through `gaitpipe process` and then `gaitpipe evaluate`; OUTDIR/<name>/
 receives the events, segments and metrics JSON and each command's
-stdout, stderr and exit code. OUTDIR/aggregate/ holds the outputs of
-`gaitpipe aggregate` over the 37 metrics files, pooled and with
-`--two-stage`. OUTDIR/config/ holds the stdout of `gaitpipe config
+stdout, stderr and exit code, and the recording's ground truth:
+truth_events.csv and truth_segments.json. OUTDIR/aggregate/ holds the
+outputs of `gaitpipe aggregate` over the 37 metrics files, pooled and
+with `--two-stage`. OUTDIR/config/ holds the stdout of `gaitpipe config
 --print-defaults` and the outputs of `gaitpipe process --config` with
 that printed file on `synth0`, so the comparison covers the config
 round trip. It also holds the outputs of `gaitpipe process --config`
@@ -31,7 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path[:0] = [str(SRC), str(ROOT / "gaitbench")]
 
-from gaitpipe import ingest, synth  # noqa: E402
+from gaitpipe import cli, ingest, pipeline, synth  # noqa: E402
 from gaitpipe.synth import Phase  # noqa: E402
 
 import workloads  # noqa: E402
@@ -54,8 +55,8 @@ def gaitpipe(args, outdir: Path, name: str, step: str) -> None:
 
 
 def write_inputs(outdir: Path) -> list[str]:
-    """Write every recording and its reference events under
-    OUTDIR/_inputs; return the recording names."""
+    """Write every recording, its reference events and its true segments
+    under OUTDIR/_inputs; return the recording names."""
     inputs = outdir / INPUTS
     inputs.mkdir(parents=True)
     names = []
@@ -71,10 +72,12 @@ def write_inputs(outdir: Path) -> list[str]:
         name = f"accept6_{angle}"
         script = [Phase("rest", 3.0), Phase("walk", 10.0), Phase("turn", 1.5, angle),
                   Phase("walk", 10.0), Phase("rest", 3.0)]
-        rec, events, _, _ = synth.generate(synth.SynthConfig(
+        rec, events, segments, _ = synth.generate(synth.SynthConfig(
             duration_s=27.5, seed=6, script=script))
         ingest.write_recording(rec, inputs / f"{name}.csv")
         ingest.write_reference_events(events, inputs / f"{name}_truth.csv")
+        cli.write_json_atomic(pipeline.segments_to_json(segments),
+                              inputs / f"{name}_segments.json")
         names.append(name)
     recordings = [(f"d{seed}_", r) for seed in (801, 905)
                   for r in workloads.daily_living(seed)]
@@ -82,6 +85,8 @@ def write_inputs(outdir: Path) -> list[str]:
     for prefix, r in recordings:
         name = prefix + r.name
         r.write(inputs / f"{name}.csv", inputs / f"{name}_truth.csv")
+        cli.write_json_atomic(pipeline.segments_to_json(r.segments),
+                              inputs / f"{name}_segments.json")
         names.append(name)
     return names
 
@@ -104,6 +109,9 @@ def main(argv) -> int:
         gaitpipe(["evaluate", f"{name}/events.json", f"{INPUTS}/{name}_truth.csv",
                   "--participant", name, "--out", f"{name}/metrics.json"],
                  outdir, name, "evaluate")
+        shutil.copyfile(outdir / INPUTS / f"{name}_truth.csv", outdir / name / "truth_events.csv")
+        shutil.copyfile(outdir / INPUTS / f"{name}_segments.json",
+                        outdir / name / "truth_segments.json")
         print(name, flush=True)
     (outdir / AGGREGATE).mkdir()
     metrics = [f"{name}/metrics.json" for name in names]

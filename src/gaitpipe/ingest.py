@@ -172,13 +172,14 @@ def load_reference_events(source) -> np.recarray:
     return event_columns(times, kinds, sides, line)
 
 
-def write_reference_events(events, path) -> None:
-    """Write a reference event CSV (``t,kind,side``) through open_atomic."""
+def write_reference_events(table: np.recarray, path) -> None:
+    """Write an event table (see core.event_table) as a reference event CSV
+    (``t,kind,side``, each time as its ``repr``) through open_atomic."""
     with open_atomic(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENTS_HEADER)
-        for ev in events:
-            writer.writerow([repr(float(ev.time_s)), ev.kind, ev.side])
+        writer.writerows(zip(map(repr, table.time_s.tolist()), table.kind.tolist(),
+                             table.side.tolist()))
 
 
 def resample(rec: ImuRecording, target_rate: float) -> ImuRecording:

@@ -28,18 +28,14 @@ def window_length(fs: float, cfg: PipelineConfig) -> int:
     return max(2, int(round(cfg.window_s * fs)))
 
 
-def window_bounds(n_samples: int, fs: float, cfg: PipelineConfig):
-    """Non-overlapping window index ranges; a tail < window_s/2 is dropped."""
+def window_bounds(n_samples: int, fs: float, cfg: PipelineConfig) -> np.ndarray:
+    """(k, 2) start and end indices of the non-overlapping windows: the
+    n_samples // wlen full ones, then a tail of at least window_s/2."""
     wlen = window_length(fs, cfg)
-    bounds = []
-    start = 0
-    while start + wlen <= n_samples:
-        bounds.append((start, start + wlen))
-        start += wlen
-    tail = n_samples - start
-    if tail >= max(2, int(round(cfg.window_s * fs / 2))):
-        bounds.append((start, n_samples))
-    return bounds
+    edges = np.arange(n_samples // wlen + 1) * wlen
+    if n_samples - edges[-1] >= max(2, int(round(cfg.window_s * fs / 2))):
+        edges = np.append(edges, n_samples)
+    return np.column_stack([edges[:-1], edges[1:]])
 
 
 def classify_windows(rec: GravityAlignedRecording, cfg: PipelineConfig = DEFAULT_CONFIG):
@@ -77,7 +73,7 @@ def _window_stats(amag: np.ndarray, gmag: np.ndarray, accel: np.ndarray, wlen: i
             np.linalg.norm(acc_std, axis=1))
 
 
-def _runs(flags: np.ndarray):
+def flag_runs(flags: np.ndarray):
     """(start_idx, end_idx_exclusive, value) runs of a boolean array."""
     flags = np.asarray(flags)
     if len(flags) == 0:
@@ -97,7 +93,7 @@ def segment(rec: GravityAlignedRecording, cfg: PipelineConfig = DEFAULT_CONFIG) 
     t0 = rec.t[0]
     fs = rec.sample_rate
     spans = []  # (start_s, end_s, moving)
-    for a, b, val in _runs(moving):
+    for a, b, val in flag_runs(moving):
         spans.append([t0 + bounds[a][0] / fs, t0 + (bounds[b - 1][1]) / fs, val])
 
     # merge non-moving intervals separated by short moving gaps
@@ -114,22 +110,28 @@ def segment(rec: GravityAlignedRecording, cfg: PipelineConfig = DEFAULT_CONFIG) 
         merged.append(cur)
         i += 1
 
-    covered_end = t0 + bounds[-1][1] / fs
-    rec_start = t0
+    return label_runs(merged, t0, t0 + bounds[-1][1] / fs, cfg)
+
+
+def label_runs(runs, start_s: float, end_s: float, cfg: PipelineConfig) -> list[Segment]:
+    """The segments of the (start, end, moving) runs that tile the span
+    from start_s to end_s. This is the one segment-kind rule, for detected
+    and true segments alike: a moving run is a GaitBout, or Unknown below
+    ``min_bout_s``; a rest within ``boundary_margin_s`` of either end of the
+    span is a Boundary, any other a ShortRest or, from ``rest_split_s``, a
+    LongRest."""
     segments = []
-    for start, end, is_moving in merged:
+    for start, end, moving in runs:
         dur = end - start
-        if is_moving:
+        if moving:
             kind = SegmentKind.GAIT_BOUT if dur >= cfg.min_bout_s else SegmentKind.UNKNOWN
+        elif (start - start_s < cfg.boundary_margin_s
+              or end_s - end < cfg.boundary_margin_s):
+            kind = SegmentKind.BOUNDARY
+        elif dur < cfg.rest_split_s:
+            kind = SegmentKind.SHORT_REST
         else:
-            near_start = start - rec_start < cfg.boundary_margin_s
-            near_end = covered_end - end < cfg.boundary_margin_s
-            if near_start or near_end:
-                kind = SegmentKind.BOUNDARY
-            elif dur < cfg.rest_split_s:
-                kind = SegmentKind.SHORT_REST
-            else:
-                kind = SegmentKind.LONG_REST
+            kind = SegmentKind.LONG_REST
         segments.append(Segment(start_s=float(start), end_s=float(end), kind=kind))
     return segments
 
@@ -146,7 +148,7 @@ def detect_turns(rec: GravityAlignedRecording, cfg: PipelineConfig = DEFAULT_CON
     # n_fast[i] counts the samples above the start rate before sample i
     speed = np.abs(np.degrees(yaw))
     n_fast = np.concatenate([[0], np.cumsum(speed > cfg.turn_start_dps)])
-    candidates = [(lo, hi) for lo, hi, turning in _runs(speed > cfg.turn_stop_dps)
+    candidates = [(lo, hi) for lo, hi, turning in flag_runs(speed > cfg.turn_stop_dps)
                   if turning and n_fast[hi] > n_fast[lo]]
 
     merged = []

@@ -20,19 +20,17 @@ from .core import (
     Config,
     ConfigurationError,
     FC,
-    GaitEvent,
     IC,
     ImuRecording,
-    Segment,
-    SegmentKind,
     SIDE_LEFT,
     SIDE_RIGHT,
     check_field_types,
+    event_table,
     finite_real,
     json_keys,
     quat_to_matrix,
 )
-from .segmentation import TurnInterval, refine_with_turns
+from .segmentation import TurnInterval, flag_runs, label_runs, refine_with_turns
 from .stepdetect import FC_WINDOW_FRACTION, MAX_STRIDE_FACTOR
 
 SECOND_HARMONIC = 0.2
@@ -126,7 +124,8 @@ class SynthConfig(Config):
 
 
 def generate(cfg: SynthConfig):
-    """Build (recording, true_events, true_segments, true_turns)."""
+    """Build (recording, true_events, true_segments, true_turns); the
+    true events are an event table (see core.event_table)."""
     fs = cfg.sample_rate_hz
     stride = cfg.stride_s
     step = stride / 2.0
@@ -158,34 +157,11 @@ def generate(cfg: SynthConfig):
     ml = np.zeros(n)
     yaw = np.zeros(n)
 
-    events: list[GaitEvent] = []
-    segments: list[Segment] = []
     turns: list[TurnInterval] = []
-
-    walk_run_start = None
-
-    def close_walk_run(end_s):
-        nonlocal walk_run_start
-        if walk_run_start is not None and end_s > walk_run_start:
-            segments.append(Segment(start_s=walk_run_start, end_s=end_s,
-                                    kind=SegmentKind.GAIT_BOUT))
-            walk_run_start = None
-
     for phase, a, b in zip(phases, starts[:-1], starts[1:]):
-        i0, i1 = int(round(a * fs)), min(int(round(b * fs)), n)
         if phase.kind == "rest":
-            close_walk_run(a)
-            near_edge = a < 2.0 or cfg.duration_s - b < 2.0
-            if near_edge:
-                kind = SegmentKind.BOUNDARY
-            elif b - a < 2.0:
-                kind = SegmentKind.SHORT_REST
-            else:
-                kind = SegmentKind.LONG_REST
-            segments.append(Segment(start_s=a, end_s=b, kind=kind))
             continue
-        if walk_run_start is None:
-            walk_run_start = a
+        i0, i1 = int(round(a * fs)), min(int(round(b * fs)), n)
         vertical[i0:i1] = GRAVITY + vert_walk[i0:i1]
         ap[i0:i1] = ap_walk[i0:i1]
         yaw[i0:i1] = yaw_walk[i0:i1]
@@ -193,24 +169,6 @@ def generate(cfg: SynthConfig):
             rate = np.radians(phase.angle_deg) / phase.duration_s
             yaw[i0:i1] += rate
             turns.append(TurnInterval(start_s=a, end_s=b, angle_deg=phase.angle_deg))
-        else:
-            # ground-truth events only in plain walk phases
-            k0 = int(np.ceil((a / stride - cfg.ic_phase) * 2.0))
-            k = k0
-            while True:
-                tic = (cfg.ic_phase + k / 2.0) * stride
-                if tic >= b:
-                    break
-                if tic >= a:
-                    side = SIDE_LEFT if k % 2 == 0 else SIDE_RIGHT
-                    events.append(GaitEvent(time_s=float(tic), kind=IC, side=side))
-                    tfc = tic + cfg.fc_phase * stride
-                    if tfc < b:
-                        fc_side = SIDE_RIGHT if side == SIDE_LEFT else SIDE_LEFT
-                        events.append(GaitEvent(time_s=float(tfc), kind=FC,
-                                                side=fc_side))
-                k += 1
-    close_walk_run(float(starts[-1]))
 
     accel_frame = np.column_stack([ap, ml, vertical])   # device x=AP, y=ML, z=up
     gyro_frame = np.column_stack([np.zeros(n), np.zeros(n), yaw])
@@ -225,6 +183,40 @@ def generate(cfg: SynthConfig):
 
     rec = ImuRecording(t=t, accel=accel, gyro=gyro, sample_rate=fs,
                        device_id="synth", session_id=f"seed{cfg.seed}")
-    events.sort(key=lambda e: (e.time_s, e.kind))
+    # one run per stretch of moving (walk or turn) or of rest phases,
+    # labelled as segment() labels detected runs
+    runs = [(starts[i], starts[j], moving)
+            for i, j, moving in flag_runs([p.kind != "rest" for p in phases])]
+    segments = label_runs(runs, 0.0, cfg.duration_s, DEFAULT_CONFIG)
     # walk runs split at sharp turns; non-sharp turns stay inside
-    return rec, events, refine_with_turns(segments, turns), turns
+    return rec, _true_events(cfg, phases, starts), refine_with_turns(segments, turns), turns
+
+
+def _true_events(cfg: SynthConfig, phases: list[Phase], starts: np.ndarray) -> np.recarray:
+    """The event table of the ICs and FCs in the plain walk phases,
+    ordered by time and then kind. The ICs of the phase from a to b are
+    the steps k at (ic_phase + k/2) * stride in [a, b), on the left for
+    even k; each IC's FC, on the other side, follows fc_phase strides
+    later if that is before b."""
+    stride = cfg.stride_s
+    steps, tic, end = [np.zeros(0, int)], [np.zeros(0)], [np.zeros(0)]
+    for phase, a, b in zip(phases, starts[:-1], starts[1:]):
+        if phase.kind == "walk":
+            # from the first step at or after a to the first at or after b
+            k = np.arange(int(np.ceil((a / stride - cfg.ic_phase) * 2.0)),
+                          int(np.ceil((b / stride - cfg.ic_phase) * 2.0)) + 1)
+            t = (cfg.ic_phase + k / 2.0) * stride
+            inside = (a <= t) & (t < b)
+            steps.append(k[inside])
+            tic.append(t[inside])
+            end.append(np.full(inside.sum(), b))
+    steps, tic, end = map(np.concatenate, (steps, tic, end))
+    tfc = tic + cfg.fc_phase * stride
+    has_fc = tfc < end
+    left = steps % 2 == 0
+    times = np.concatenate([tic, tfc[has_fc]])
+    kinds = np.repeat([IC, FC], [len(tic), has_fc.sum()])
+    sides = np.concatenate([np.where(left, SIDE_LEFT, SIDE_RIGHT),
+                            np.where(left[has_fc], SIDE_RIGHT, SIDE_LEFT)])
+    order = np.lexsort((kinds, times))
+    return event_table(times[order], kinds[order], sides[order])

@@ -20,6 +20,7 @@ from gaitpipe.core import (
     ImuRecording,
     InsufficientDataError,
     ParseError,
+    event_table,
     gait_events,
 )
 
@@ -246,7 +247,7 @@ class TestAtomicWriters:
     """A write that fails part-way leaves no file at its path, no temp
     file beside it, and an older file at the path as it was."""
 
-    EVENTS = [GaitEvent(0.5 * i, "IC", "L") for i in range(20)]
+    EVENTS = event_table(0.5 * np.arange(20), "IC", "L")
 
     def _write(self, writer, path):
         if writer == "recording":
@@ -324,8 +325,7 @@ REFERENCE_CASE_IDS = ["valid", "empty", "bad-header", "two-fields", "four-fields
 
 class TestReferenceEvents:
     def test_roundtrip(self, tmp_path):
-        from gaitpipe.core import GaitEvent
-        events = [GaitEvent(0.5, "IC", "L"), GaitEvent(0.62, "FC", "R")]
+        events = event_table([0.5, 0.62], ["IC", "FC"], ["L", "R"])
         path = tmp_path / "ref.csv"
         ingest.write_reference_events(events, path)
         back = ingest.load_reference_events(path)

@@ -29,6 +29,7 @@ from gaitpipe.core import (
     ParseError,
     Segment,
     SegmentKind,
+    event_table,
     gait_events,
 )
 from gaitpipe.pipeline import PipelineConfig
@@ -264,7 +265,7 @@ def test_matcher_conserves_events(detected, reference, window_s):
 @given(st.lists(st.booleans(), max_size=60))
 def test_runs_tile_their_input(flags):
     flags = np.array(flags, dtype=bool)
-    runs = segmentation._runs(flags)
+    runs = segmentation.flag_runs(flags)
     pos = 0
     for a, b, value in runs:
         assert a == pos < b and (flags[a:b] == value).all()
@@ -289,7 +290,7 @@ def reference_turns(rec, cfg):
     yaw_dps = np.degrees(yaw)
     above = np.abs(yaw_dps) > cfg.turn_start_dps
     candidates = []
-    for a_i, b_i, val in segmentation._runs(above):
+    for a_i, b_i, val in segmentation.flag_runs(above):
         if not val:
             continue
         lo = a_i
@@ -360,12 +361,17 @@ json_faults = st.sampled_from([("time_s", None), ("time_s", "x"), ("time_s", flo
                                ("side", "B"), (None, [0.5, "IC"])])
 
 
+def table_of(evs):
+    """The event_table of GaitEvents, in their order."""
+    return event_table([e.time_s for e in evs], [e.kind for e in evs], [e.side for e in evs])
+
+
 @settings(max_examples=200)
 @given(events, st.data())
 def test_reference_csv_round_trip_and_first_bad_line(evs, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ref.csv"
-        ingest.write_reference_events(evs, path)
+        ingest.write_reference_events(table_of(evs), path)
         assert gait_events(ingest.load_reference_events(path)) == evs
         lines = path.read_bytes().decode().split("\r\n")
     if not evs:
@@ -432,7 +438,7 @@ def test_evaluate_equals_matching_sorted_event_lists(detected, reference, window
     with tempfile.TemporaryDirectory() as tmp:
         det_path, ref_path, out = (Path(tmp) / name for name in ("d.json", "r.csv", "m.json"))
         det_path.write_text(json.dumps(pipeline.events_to_json(detected)))
-        ingest.write_reference_events(reference, ref_path)
+        ingest.write_reference_events(table_of(reference), ref_path)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["evaluate", str(det_path), str(ref_path), "--window", str(window),
                              "--out", str(out)]) == 0

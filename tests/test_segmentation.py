@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gaitpipe import orientation, segmentation, synth
 from gaitpipe.core import (ConfigurationError, GravityAlignedRecording, PipelineConfig,
@@ -46,6 +48,19 @@ def per_window_flags(rec, cfg):
         moving.append(not ((lo <= mean_a <= hi) and mean_g < cfg.gyro_thresh
                            and comb_std < cfg.std_thresh))
     return np.array(moving, dtype=bool)
+
+
+def loop_window_bounds(n_samples, fs, cfg):
+    """window_bounds one window at a time (the reference for its arithmetic)."""
+    wlen = segmentation.window_length(fs, cfg)
+    bounds = []
+    start = 0
+    while start + wlen <= n_samples:
+        bounds.append((start, start + wlen))
+        start += wlen
+    if n_samples - start >= max(2, int(round(cfg.window_s * fs / 2))):
+        bounds.append((start, n_samples))
+    return bounds
 
 
 def static_aligned(duration_s, fs=50.0):
@@ -124,6 +139,14 @@ class TestClassifyWindows:
         # every window's verdict is exercised: both flags occur
         moving, _ = segmentation.classify_windows(ga, cfg)
         assert moving.any() and not moving.all()
+
+    @given(st.integers(0, 5000), st.sampled_from([10.0, 25.0, 50.0, 100.0, 128.0, 200.0]),
+           st.floats(0.05, 5.0))
+    def test_window_bounds_match_window_loop(self, n, fs, window_s):
+        cfg = PipelineConfig(window_s=window_s)
+        bounds = segmentation.window_bounds(n, fs, cfg)
+        assert bounds.shape == (len(bounds), 2)
+        assert bounds.tolist() == [list(b) for b in loop_window_bounds(n, fs, cfg)]
 
 
 class TestUnbiasedAutocorr:

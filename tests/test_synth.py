@@ -3,22 +3,110 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitpipe import stepdetect, synth
 from gaitpipe.core import (
     DEFAULT_CONFIG,
     ConfigurationError,
     FC,
+    GaitEvent,
     IC,
+    Segment,
     SegmentKind,
     SIDE_LEFT,
     SIDE_RIGHT,
     quat_to_matrix,
     random_unit_quat,
 )
+from gaitpipe.segmentation import TurnInterval, refine_with_turns
 from gaitpipe.synth import Phase
 
 G = 9.81
+
+
+def reference_truth(cfg):
+    """(events, segments) of cfg as generate built them before its truth
+    became an event table labelled by segmentation.label_runs: one
+    GaitEvent at a time, and one segment per walk run and per rest phase
+    with synth's own copy of the segment-kind rule, its 2 s thresholds
+    written as literals and every walk run a GaitBout."""
+    stride = cfg.stride_s
+    phases = cfg.script or [Phase("walk", cfg.duration_s)]
+    starts = np.concatenate([[0.0], np.cumsum([p.duration_s for p in phases])])
+    events, segments, turns = [], [], []
+    walk_run_start = None
+
+    def close_walk_run(end_s):
+        nonlocal walk_run_start
+        if walk_run_start is not None and end_s > walk_run_start:
+            segments.append(Segment(start_s=walk_run_start, end_s=end_s,
+                                    kind=SegmentKind.GAIT_BOUT))
+            walk_run_start = None
+
+    for phase, a, b in zip(phases, starts[:-1], starts[1:]):
+        if phase.kind == "rest":
+            close_walk_run(a)
+            near_edge = a < 2.0 or cfg.duration_s - b < 2.0
+            if near_edge:
+                kind = SegmentKind.BOUNDARY
+            elif b - a < 2.0:
+                kind = SegmentKind.SHORT_REST
+            else:
+                kind = SegmentKind.LONG_REST
+            segments.append(Segment(start_s=a, end_s=b, kind=kind))
+            continue
+        if walk_run_start is None:
+            walk_run_start = a
+        if phase.kind == "turn":
+            turns.append(TurnInterval(start_s=a, end_s=b, angle_deg=phase.angle_deg))
+            continue
+        k = int(np.ceil((a / stride - cfg.ic_phase) * 2.0))
+        while True:
+            tic = (cfg.ic_phase + k / 2.0) * stride
+            if tic >= b:
+                break
+            if tic >= a:
+                side = SIDE_LEFT if k % 2 == 0 else SIDE_RIGHT
+                events.append(GaitEvent(time_s=float(tic), kind=IC, side=side))
+                tfc = tic + cfg.fc_phase * stride
+                if tfc < b:
+                    fc_side = SIDE_RIGHT if side == SIDE_LEFT else SIDE_LEFT
+                    events.append(GaitEvent(time_s=float(tfc), kind=FC, side=fc_side))
+            k += 1
+    close_walk_run(float(starts[-1]))
+    events.sort(key=lambda e: (e.time_s, e.kind))
+    return events, refine_with_turns(segments, turns)
+
+
+def rows(table):
+    """(time_s, kind, side) of each event of an event table, as Python values."""
+    return list(zip(table.time_s.tolist(), table.kind.tolist(), table.side.tolist()))
+
+
+# binary fractions as well as any floats, so that an event falls exactly on
+# a phase end in some examples
+durations = st.sampled_from([0.25 * i for i in range(1, 49)]) | st.floats(0.1, 12.0)
+walk_runs = st.lists(st.builds(Phase, st.just("walk"), durations)
+                     | st.builds(Phase, st.just("turn"), durations, st.floats(-360.0, 360.0)),
+                     min_size=1, max_size=3).filter(
+    # a margin over min_bout_s for the rounding of the phase starts' sums
+    lambda run: sum(p.duration_s for p in run) >= DEFAULT_CONFIG.min_bout_s + 1e-6)
+
+
+@st.composite
+def scripts(draw):
+    """Walk runs of at least min_bout_s, each between single rest phases
+    that may or may not open and close the script."""
+    script = [Phase("rest", draw(durations))] if draw(st.booleans()) else []
+    for i, run in enumerate(draw(st.lists(walk_runs, min_size=1, max_size=4))):
+        if i:
+            script.append(Phase("rest", draw(durations)))
+        script += run
+    if draw(st.booleans()):
+        script.append(Phase("rest", draw(durations)))
+    return script
 
 
 class TestConfig:
@@ -168,7 +256,7 @@ class TestGenerate:
         rec, events, segments, turns = synth.generate(cfg)
         np.testing.assert_allclose(np.linalg.norm(rec.accel, axis=1), G,
                                    atol=1e-12)
-        assert events == [] and turns == []
+        assert len(events) == 0 and turns == []
         assert [s.kind for s in segments] == [SegmentKind.BOUNDARY]
 
     def test_no_events_in_turn_phase(self):
@@ -239,3 +327,62 @@ class TestGenerate:
         noisy = synth.generate(synth.SynthConfig(seed=5, noise_sigma=0.3))
         assert not np.array_equal(clean[0].accel, noisy[0].accel)
         assert [e.time_s for e in clean[1]] == [e.time_s for e in noisy[1]]
+
+
+class TestTruthMatchesReference:
+    """generate's truth equals reference_truth's exactly, except in the
+    two cases that the one segment-kind rule labels otherwise."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scripts(),
+           st.sampled_from([0.5, 1.0, 1.25, 2.0])
+           | st.floats(DEFAULT_CONFIG.stride_lag_min_s, DEFAULT_CONFIG.stride_lag_max_s),
+           st.sampled_from([0.0, 0.125, 0.25, 0.375, 0.5]) | st.floats(0.0, 1.0),
+           st.sampled_from([0.125, 0.25])
+           | st.floats(0.0, stepdetect.FC_WINDOW_FRACTION * stepdetect.MAX_STRIDE_FACTOR,
+                       exclude_min=True, exclude_max=True),
+           st.sampled_from([10.0, 25.0, 50.0, 100.0, 128.0, 200.0]))
+    def test_random_scripts(self, script, stride_s, ic_phase, fc_phase, fs):
+        cfg = synth.SynthConfig(duration_s=sum(p.duration_s for p in script), sample_rate_hz=fs, stride_s=stride_s,
+                                ic_phase=ic_phase, fc_phase=fc_phase, script=script)
+        _, events, segments, _ = synth.generate(cfg)
+        want_events, want_segments = reference_truth(cfg)
+        assert rows(events) == [(e.time_s, e.kind, e.side) for e in want_events]
+        assert segments == want_segments
+
+    def test_hour_long_walk(self):
+        cfg = synth.SynthConfig(duration_s=3600.0, stride_s=1.1)
+        _, events, segments, _ = synth.generate(cfg)
+        want_events, want_segments = reference_truth(cfg)
+        assert rows(events) == [(e.time_s, e.kind, e.side) for e in want_events]
+        assert segments == want_segments
+
+    def test_short_walk_run_is_unknown(self):
+        """A walk run shorter than min_bout_s is Unknown, as segment()
+        labels a short moving run; the reference called it a GaitBout."""
+        cfg = synth.SynthConfig(duration_s=9.5, script=[
+            Phase("rest", 4.0), Phase("walk", 1.5), Phase("rest", 4.0)])
+        _, events, segments, _ = synth.generate(cfg)
+        want_events, want_segments = reference_truth(cfg)
+        assert [s.kind for s in segments] == [
+            SegmentKind.BOUNDARY, SegmentKind.UNKNOWN, SegmentKind.BOUNDARY]
+        assert [s.kind for s in want_segments] == [
+            SegmentKind.BOUNDARY, SegmentKind.GAIT_BOUT, SegmentKind.BOUNDARY]
+        assert [(s.start_s, s.end_s) for s in segments] == \
+            [(s.start_s, s.end_s) for s in want_segments]
+        assert rows(events) == [(e.time_s, e.kind, e.side) for e in want_events]
+
+    def test_consecutive_rest_phases_form_one_rest(self):
+        """Two 1.5 s rest phases in a row are one 3 s LongRest, as
+        segment() sees one run of rest windows; the reference made two
+        ShortRests."""
+        cfg = synth.SynthConfig(duration_s=13.0, script=[
+            Phase("walk", 5.0), Phase("rest", 1.5), Phase("rest", 1.5), Phase("walk", 5.0)])
+        _, _, segments, _ = synth.generate(cfg)
+        _, want_segments = reference_truth(cfg)
+        assert [(s.start_s, s.end_s, s.kind) for s in segments] == [
+            (0.0, 5.0, SegmentKind.GAIT_BOUT), (5.0, 8.0, SegmentKind.LONG_REST),
+            (8.0, 13.0, SegmentKind.GAIT_BOUT)]
+        assert [(s.start_s, s.end_s, s.kind) for s in want_segments] == [
+            (0.0, 5.0, SegmentKind.GAIT_BOUT), (5.0, 6.5, SegmentKind.SHORT_REST),
+            (6.5, 8.0, SegmentKind.SHORT_REST), (8.0, 13.0, SegmentKind.GAIT_BOUT)]
