@@ -1,28 +1,32 @@
 """Timings of the hot kernels: the CSV load, the Madgwick loop, the
 anatomical rotation, the three event stages of a bout, the event
 readers, the event matcher, a whole ``gaitpipe evaluate`` and a
-factor-model fit, and the peak memory of one ``process_recording`` call.
+factor-model fit, and the peak memory of ``synth.generate``,
+``process_recording``, ``write_recording`` and ``events_json_text``.
 
 Run with:  PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
 The load, Madgwick and rotation are timed at the size of a 1 h recording
 at 50 Hz (180,000 samples). The rotation input is F-ordered, as the
-bouts of a gravity-aligned recording are. The memory figure is the
-peak of the allocations ``tracemalloc`` sees (numpy arrays included)
-while ``process_recording`` runs on a 1 h ``synth`` walk, i.e. MB per
-hour of recording. The event stages ``detect_events``,
+bouts of a gravity-aligned recording are. Each memory figure is the peak
+of the allocations ``tracemalloc`` sees (numpy arrays included) during
+one call, above those live before it, i.e. MB per hour of recording:
+``synth.generate`` making a 1 h walk, then ``process_recording`` on that
+walk, ``write_recording`` writing it and ``events_json_text`` formatting
+its detected events. Each is also given as a multiple of the walk's own
+arrays (t, accel and gyro). The event stages ``detect_events``,
 ``assign_laterality`` and ``quality_check`` are timed on that walk's
 longest bout, each fed the previous stage's result, with the inputs that
 ``process_recording`` gives them. The layers of ``gaitpipe evaluate``
 that grow with the event count run on that walk too: the reference
 reader reads its reference CSV, the detections reader takes the loaded
-JSON document of its detected events, and the matcher pairs
-each kind's reference times with the same times moved by 20 ms Gaussian
-noise, as detections. ``gaitpipe evaluate`` then scores the detected
-events against the reference in-process, ``EVALUATE_CALLS`` times while
-the walk and its results stay alive, as in the benchmark; a
-``gc.callbacks`` probe counts the full (generation-2) garbage
-collections those calls pay.
+JSON document of its detected events, and the matcher pairs each kind's
+reference times with the same times moved by 20 ms Gaussian noise, as
+detections. ``gaitpipe evaluate`` then scores the detected events
+against the reference in-process, ``EVALUATE_CALLS`` times while the
+walk and its results stay alive, as in the benchmark; a ``gc.callbacks``
+probe counts the full (generation-2) garbage collections those calls
+pay.
 
 The sampler baseline is one fit of the size of acceptance criterion 7:
 ``sample_posterior`` on 60 subjects x 10 observations (seed 100), 2,000
@@ -90,15 +94,24 @@ def main():
     rot = best_of(frame.to_anatomical, samples, anat)
     print(f"to_anatomical ({n} samples):  {rot * 1e3:9.1f} ms")
 
-    walk, events, _, _ = synth.generate(synth.SynthConfig(
+    (walk, events, _, _), peak = traced_peak(synth.generate, synth.SynthConfig(
         duration_s=n / 50.0, noise_sigma=0.3,
         sensor_rotation=np.array([0.8, 0.2, -0.4, 0.4])))
+    size = walk.t.nbytes + walk.accel.nbytes + walk.gyro.nbytes
 
-    tracemalloc.start()
-    detected = pipeline.process_recording(walk).events
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    print(f"process_recording ({n} samples): {peak / 1e6:9.1f} MB peak traced")
+    def print_peak(name, peak):
+        print(f"{name}: {peak / 1e6:9.1f} MB peak traced, "
+              f"{peak / size:.2f}x the recording's {size / 1e6:.1f} MB")
+
+    print_peak(f"synth.generate ({n} samples)", peak)
+    result, peak = traced_peak(pipeline.process_recording, walk)
+    detected = result.events
+    print_peak(f"process_recording ({n} samples)", peak)
+    with tempfile.TemporaryDirectory() as tmp:
+        _, peak = traced_peak(ingest.write_recording, walk, Path(tmp) / "walk.csv")
+    print_peak(f"write_recording ({n} samples)", peak)
+    _, peak = traced_peak(pipeline.events_json_text, detected)
+    print_peak(f"events_json_text ({len(detected)} events)", peak)
 
     time_event_stages(walk)
 
@@ -144,6 +157,18 @@ def main():
           f"{FIT_CHAINS} chains, {iters} iterations): {fit_s:.2f} s, "
           f"{fit_s / iters * 1e3:.3f} ms per iteration, "
           f"min bulk ESS {ess:.0f} = {ess / fit_s:.0f} per s")
+
+
+def traced_peak(fn, *args):
+    """(result, bytes): the peak of the allocations ``tracemalloc`` sees
+    during one call, above those live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def time_event_stages(walk) -> None:

@@ -38,7 +38,7 @@ from .ingest import (
     write_recording,
     write_reference_events,
 )
-from .orientation import align_recording, estimate_orientation
+from .orientation import align_recording
 from .segmentation import detect_turns, eligible_bouts, segment
 from .frame import AnatomicalFrame, estimate_frame, to_anatomical, verify_frame
 from .stepdetect import (

@@ -138,13 +138,13 @@ def load_recording(source, device_id: str = "", session_id: str = "") -> ImuReco
 def write_recording(rec: ImuRecording, path) -> None:
     """Write a recording CSV through open_atomic; the bytes equal those of
     a ``csv.writer`` writing the ``repr`` of each value, rows ended by CRLF."""
-    data = np.column_stack((rec.t, rec.accel, rec.gyro)).astype(float, copy=False)
     with open_atomic(path) as fh:
         fh.write(",".join(RECORDING_HEADER) + "\r\n")
-        # row blocks bound the Python floats alive at once
-        for start in range(0, len(data), WRITE_BLOCK_ROWS):
-            fh.writelines(",".join(map(repr, row)) + "\r\n"
-                          for row in data[start:start + WRITE_BLOCK_ROWS].tolist())
+        # row blocks bound the Python floats and the stacked copy alive at once
+        for start in range(0, len(rec.t), WRITE_BLOCK_ROWS):
+            rows = slice(start, start + WRITE_BLOCK_ROWS)
+            block = np.column_stack((rec.t[rows], rec.accel[rows], rec.gyro[rows]))
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block.tolist())
 
 
 def load_reference_events(source) -> np.recarray:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,6 +11,8 @@ from . import frame as frame_mod
 from . import ingest, orientation, segmentation, stepdetect
 from .core import (
     DEFAULT_CONFIG,
+    EVENT_KINDS,
+    EVENT_SIDES,
     SIDE_UNKNOWN,
     GaitEvent,
     ImuRecording,
@@ -24,6 +27,7 @@ from .core import (
 
 # the accelerometer low-pass pads each edge with 9 samples
 MIN_SAMPLES = 10
+_EVENT_TEXT = '  {\n    "time_s": %r,\n    "kind": "%s",\n    "side": "%s"\n  }'
 
 
 @dataclass
@@ -58,6 +62,7 @@ def process_recording(rec: ImuRecording,
     if config.lowpass_cutoff_hz < rec.sample_rate / 2.0:
         rec = ingest.lowpass_accel(rec, config.lowpass_cutoff_hz)
     aligned = orientation.align_recording(rec, beta=config.madgwick_beta)
+    del rec     # the low-passed recording is read no more
 
     segments = segmentation.segment(aligned, config)
     turns = segmentation.detect_turns(aligned, config)
@@ -107,17 +112,16 @@ def events_json_text(events: list[GaitEvent]) -> str:
     """The text of ``json.dumps(events_to_json(events), indent=2,
     allow_nan=False)``, so a non-finite time raises ValueError.
 
-    ``indent`` selects json's pure-Python encoder, several times slower
-    on a 1 h walk's events than the C one. The C encoder writes each
-    object's inner indent as its item separator, and three replaces put
-    in the list's; an event's values (a number and two names from
-    EVENT_KINDS and EVENT_SIDES) hold no brace.
+    Each event is formatted from _EVENT_TEXT, as json's slow indenting
+    encoder writes a float (its ``repr``) and a name of EVENT_KINDS or
+    EVENT_SIDES; any other value goes to json itself.
     """
-    text = json.dumps(events_to_json(events), allow_nan=False,
-                      separators=(",\n    ", ": "))
-    return (text.replace("[{", "[\n  {\n    ", 1)
-            .replace("},\n    {", "\n  },\n  {\n    ")
-            .replace("}]", "\n  }\n]", 1))
+    texts = [_EVENT_TEXT % (e.time_s, e.kind, e.side) for e in events
+             if type(e.time_s) is float and math.isfinite(e.time_s)
+             and e.kind in EVENT_KINDS and e.side in EVENT_SIDES]
+    if len(texts) < len(events):
+        return json.dumps(events_to_json(events), indent=2, allow_nan=False)
+    return "[\n" + ",\n".join(texts) + "\n]" if texts else "[]"
 
 
 def segments_to_json(segments: list[Segment]) -> list[dict]:

@@ -81,7 +81,7 @@ def flag_runs(flags: np.ndarray):
     edges = (np.flatnonzero(flags[1:] != flags[:-1]) + 1).tolist()
     starts = [0] + edges
     ends = edges + [len(flags)]
-    return [(a, b, bool(flags[a])) for a, b in zip(starts, ends)]
+    return list(zip(starts, ends, flags[starts].tolist()))
 
 
 def segment(rec: GravityAlignedRecording, cfg: PipelineConfig = DEFAULT_CONFIG) -> list[Segment]:
@@ -176,12 +176,14 @@ def unbiased_autocorr(x: np.ndarray, max_lag: int | None = None) -> np.ndarray:
     2n - 1, so the circular correlation equals the linear one.
     """
     x = np.asarray(x, dtype=float)
-    x = x - x.mean()
     n = len(x)
     m = n if max_lag is None else min(max_lag + 1, n)
     nfft = next_fast_len(2 * n - 1, real=True)
-    spec = rfft(x, nfft)
-    r = irfft(spec.real ** 2 + spec.imag ** 2, nfft)[:m]
+    spec = rfft(x - x.mean(), nfft)
+    power = spec.real ** 2
+    power += spec.imag ** 2
+    del spec    # irfft makes a complex copy of power
+    r = irfft(power, nfft)[:m]
     r = r / (n - np.arange(m))
     if r[0] <= 1e-12:
         return np.zeros(m)

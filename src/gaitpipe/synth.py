@@ -140,45 +140,45 @@ def generate(cfg: SynthConfig):
     # step-frequency component
     phi0 = 1.5 * np.pi - 4.0 * np.pi * cfg.ic_phase
     theta = 2.0 * np.pi * t / step + phi0
+    sine, harmonic = np.sin(theta), np.cos(2.0 * theta)
     # amplitude alternation switches at the mid-step maxima so that the
     # minima keep a clean per-step amplitude
     kmod = np.floor(t / step + 0.5 - 2.0 * cfg.ic_phase).astype(int)
     amp = cfg.vertical_amp * (1.0 + STEP_MODULATION * (-1.0) ** (kmod % 2))
-    vert_walk = amp * np.sin(theta) \
-        + SECOND_HARMONIC * cfg.vertical_amp * np.cos(2.0 * theta)
+    vert_walk = amp * sine + SECOND_HARMONIC * cfg.vertical_amp * harmonic
     # same asymmetric harmonic as the vertical channel so polarity stays
     # recoverable whichever axis the detector settles on
-    ap_walk = cfg.ap_amp * (np.sin(theta) + SECOND_HARMONIC * np.cos(2.0 * theta))
+    ap_walk = cfg.ap_amp * (sine + SECOND_HARMONIC * harmonic)
+    del theta, sine, harmonic, kmod, amp
     yaw_walk = cfg.yaw_amp * np.sin(2.0 * np.pi * t / stride
                                     + np.pi / 2.0 - 2.0 * np.pi * cfg.ic_phase)
 
-    vertical = np.full(n, GRAVITY)
-    ap = np.zeros(n)
-    ml = np.zeros(n)
-    yaw = np.zeros(n)
+    accel_frame = np.zeros((n, 3))      # device x=AP, y=ML, z=up
+    accel_frame[:, 2] = GRAVITY
+    gyro_frame = np.zeros((n, 3))
 
     turns: list[TurnInterval] = []
     for phase, a, b in zip(phases, starts[:-1], starts[1:]):
         if phase.kind == "rest":
             continue
         i0, i1 = int(round(a * fs)), min(int(round(b * fs)), n)
-        vertical[i0:i1] = GRAVITY + vert_walk[i0:i1]
-        ap[i0:i1] = ap_walk[i0:i1]
-        yaw[i0:i1] = yaw_walk[i0:i1]
+        accel_frame[i0:i1, 2] = GRAVITY + vert_walk[i0:i1]
+        accel_frame[i0:i1, 0] = ap_walk[i0:i1]
+        gyro_frame[i0:i1, 2] = yaw_walk[i0:i1]
         if phase.kind == "turn":
             rate = np.radians(phase.angle_deg) / phase.duration_s
-            yaw[i0:i1] += rate
+            gyro_frame[i0:i1, 2] += rate
             turns.append(TurnInterval(start_s=a, end_s=b, angle_deg=phase.angle_deg))
+    del vert_walk, ap_walk, yaw_walk
 
-    accel_frame = np.column_stack([ap, ml, vertical])   # device x=AP, y=ML, z=up
-    gyro_frame = np.column_stack([np.zeros(n), np.zeros(n), yaw])
     if cfg.noise_sigma > 0:
-        accel_frame = accel_frame + rng.normal(0.0, cfg.noise_sigma, accel_frame.shape)
+        accel_frame += rng.normal(0.0, cfg.noise_sigma, accel_frame.shape)
     q = np.asarray(cfg.sensor_rotation, dtype=float)
     norm = np.linalg.norm(q)
     # a quaternion that is unit to within rounding keeps its exact bits
     rot = quat_to_matrix(q if abs(norm - 1.0) <= 4 * np.finfo(float).eps else q / norm)
     accel = accel_frame @ rot.T
+    del accel_frame
     gyro = gyro_frame @ rot.T
 
     rec = ImuRecording(t=t, accel=accel, gyro=gyro, sample_rate=fs,

@@ -15,8 +15,8 @@ def gravity_direction(quats: np.ndarray) -> np.ndarray:
 
 def reference_gravity_rotate(quats: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate each row of v by its quaternion into (vertical, h1, h2),
-    one matrix entry at a time (the reference for
-    orientation.align_with_gravity, which must match it exactly)."""
+    one matrix entry at a time (the reference for the rotation of
+    orientation.align_recording, which must match it exactly)."""
     w, x, y, z = quats[:, 0], quats[:, 1], quats[:, 2], quats[:, 3]
     r00 = 1 - 2 * (y * y + z * z)
     r01 = 2 * (x * y - w * z)

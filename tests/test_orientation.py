@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gaitpipe import kernels, orientation, synth
-from gaitpipe.core import ContractError, ImuRecording, quat_to_matrix, random_unit_quat
+from gaitpipe.core import (ContractError, ImuRecording, InsufficientDataError, quat_to_matrix,
+                           random_unit_quat)
 from rotations import (
     gravity_direction,
     quat_rotate,
@@ -74,19 +75,36 @@ def angle_deg(u, v):
     return np.degrees(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
+def madgwick(rec, beta=orientation.DEFAULT_BETA):
+    """The quaternions of one Madgwick recursion over the whole recording,
+    from the start that align_recording takes."""
+    return kernels.madgwick_batch(rec.accel, rec.gyro, 1.0 / rec.sample_rate, beta,
+                                  orientation.initial_tilt(rec.accel[0]))
+
+
+def reference_align(rec, beta=orientation.DEFAULT_BETA):
+    """align_recording's output by the whole-recording path: every
+    quaternion from reference_madgwick, then every rotation entrywise."""
+    quats = reference_madgwick(rec.accel, rec.gyro, 1.0 / rec.sample_rate, beta,
+                               orientation.initial_tilt(rec.accel[0]))
+    return (reference_gravity_rotate(quats, rec.accel),
+            reference_gravity_rotate(quats, rec.gyro))
+
+
 class TestEstimateOrientation:
+    """The orientation estimate of kernels.madgwick_batch, which
+    align_recording applies."""
+
     def test_static_z_converges_to_vertical(self):
         rec = static_rec([0.0, 0.0, G])
-        quats = orientation.estimate_orientation(rec)
-        gdir = gravity_direction(quats)
+        gdir = gravity_direction(madgwick(rec))
         after = gdir[int(5 * rec.sample_rate):]
         for row in after[::25]:
             assert angle_deg(row, [0, 0, 1]) < 1.0
 
     def test_static_x_converges(self):
         rec = static_rec([G, 0.0, 0.0])
-        quats = orientation.estimate_orientation(rec)
-        gdir = gravity_direction(quats)
+        gdir = gravity_direction(madgwick(rec))
         after = gdir[int(5 * rec.sample_rate):]
         for row in after[::25]:
             assert angle_deg(row, [1, 0, 0]) < 1.0
@@ -97,8 +115,7 @@ class TestEstimateOrientation:
         t = np.arange(n) / 50.0
         rec = ImuRecording(t=t, accel=rng.normal(0, 1, (n, 3)) + [0, 0, G],
                            gyro=rng.normal(0, 0.5, (n, 3)), sample_rate=50.0)
-        quats = orientation.estimate_orientation(rec)
-        norms = np.linalg.norm(quats, axis=1)
+        norms = np.linalg.norm(madgwick(rec), axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
     def test_yaw_integration_90_degrees(self):
@@ -109,8 +126,7 @@ class TestEstimateOrientation:
         t = np.arange(n) / fs
         accel = np.tile([0.0, 0.0, G], (n, 1))
         gyro = np.tile([0.0, 0.0, np.pi / 2], (n, 1))
-        rec = ImuRecording(t=t, accel=accel, gyro=gyro, sample_rate=fs)
-        quats = orientation.estimate_orientation(rec)
+        quats = madgwick(ImuRecording(t=t, accel=accel, gyro=gyro, sample_rate=fs))
         x0 = quat_rotate(quats[0], [1.0, 0.0, 0.0])
         x1 = quat_rotate(quats[-1], [1.0, 0.0, 0.0])
         assert angle_deg(x0, x1) == pytest.approx(90.0, abs=2.0)
@@ -155,31 +171,44 @@ class TestQuatToMatrix:
 
 class TestAlignWithGravity:
     def test_equals_entrywise_reference(self):
+        """The block-wise recursion and rotation give the doubles of the
+        whole-recording path, at and around the block edges."""
         rng = np.random.default_rng(6)
-        for seed, duration_s in enumerate([20.0, 20.0, 200.0]):
-            rec, _, _, _ = synth.generate(synth.SynthConfig(
-                duration_s=duration_s, seed=seed, noise_sigma=0.3,
-                sensor_rotation=random_unit_quat(rng)))
-            quats = orientation.estimate_orientation(rec)
-            out = orientation.align_with_gravity(rec, quats)
-            assert np.array_equal(out.accel, reference_gravity_rotate(quats, rec.accel))
-            assert np.array_equal(out.gyro, reference_gravity_rotate(quats, rec.gyro))
-        # the last recording spans a whole and a part block of matrices
-        assert orientation.ALIGN_BLOCK < len(rec.t) < 2 * orientation.ALIGN_BLOCK
+        block = orientation.ALIGN_BLOCK
+        for n in (1, block - 1, block, block + 1, 3 * block + 5):
+            accel = rng.normal(0, 2.0, (n, 3)) + [1.0, -3.0, G]
+            accel[rng.integers(0, n, n // 500)] = 0.0     # no gravity
+            rec = ImuRecording(t=np.arange(n) / 50.0, accel=accel,
+                               gyro=rng.normal(0, 0.8, (n, 3)), sample_rate=50.0)
+            out = orientation.align_recording(rec, beta=0.1)
+            want_accel, want_gyro = reference_align(rec, beta=0.1)
+            assert np.array_equal(out.accel, want_accel)
+            assert np.array_equal(out.gyro, want_gyro)
+        rec, _, _, _ = synth.generate(synth.SynthConfig(
+            duration_s=100.0, seed=2, noise_sigma=0.3,
+            sensor_rotation=random_unit_quat(rng)))
+        out = orientation.align_recording(rec)
+        want_accel, want_gyro = reference_align(rec)
+        assert np.array_equal(out.accel, want_accel)
+        assert np.array_equal(out.gyro, want_gyro)
 
     def test_identity_orientation_reorders_axes_only(self):
+        # upright and still, the orientation stays the identity quaternion
         rec = static_rec([0.0, 0.0, G], duration_s=1.0)
-        n = len(rec.t)
-        quats = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
-        out = orientation.align_with_gravity(rec, quats)
+        out = orientation.align_recording(rec)
         # axis order is (vertical, h1, h2) = (z, x, y)
         np.testing.assert_allclose(out.vertical_accel, G, atol=1e-12)
         np.testing.assert_allclose(out.accel[:, 1:], 0.0, atol=1e-12)
 
-    def test_length_mismatch(self):
+    def test_refuses_a_non_uniform_or_empty_recording(self):
         rec = static_rec([0.0, 0.0, G], duration_s=1.0)
-        with pytest.raises(ContractError):
-            orientation.align_with_gravity(rec, np.tile([1.0, 0, 0, 0], (3, 1)))
+        rec.sample_rate = None
+        with pytest.raises(ContractError, match="uniformly sampled"):
+            orientation.align_recording(rec)
+        empty = ImuRecording(t=np.zeros(0), accel=np.zeros((0, 3)), gyro=np.zeros((0, 3)),
+                             sample_rate=50.0)
+        with pytest.raises(InsufficientDataError):
+            orientation.align_recording(empty)
 
     def test_tilted_static_recovers_gravity(self):
         ang = np.radians(30.0)

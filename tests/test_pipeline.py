@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -261,6 +262,43 @@ class TestProcessRecording:
         b = pipeline.process_recording(rec)
         assert [(e.time_s, e.kind, e.side) for e in a.events] \
             == [(e.time_s, e.kind, e.side) for e in b.events]
+
+
+def traced_peak(fn, *args):
+    """(result, bytes) of one call: the peak of the allocations that
+    tracemalloc sees during the call, above those live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """Each stage drops its large temporaries after their last use, so a
+    10 min walk's traced peak stays within 2.2 times the recording's
+    arrays (3.4 times for generate and 2.9 for process_recording when
+    whole-recording waveforms, quaternions and spectra were held)."""
+
+    CONFIG = synth.SynthConfig(duration_s=600.0, noise_sigma=0.3,
+                               sensor_rotation=np.array([0.8, 0.2, -0.4, 0.4]))
+
+    @staticmethod
+    def size(rec) -> int:
+        return rec.t.nbytes + rec.accel.nbytes + rec.gyro.nbytes
+
+    def test_generate(self):
+        (rec, _, _, _), peak = traced_peak(synth.generate, self.CONFIG)
+        assert peak <= 2.2 * self.size(rec)
+
+    def test_process_recording(self):
+        rec = synth.generate(self.CONFIG)[0]
+        pipeline.process_recording(rec)     # lazy imports and caches fill here
+        _, peak = traced_peak(pipeline.process_recording, rec)
+        assert peak <= 2.2 * self.size(rec)
 
 
 class TestEventJson:

@@ -410,9 +410,28 @@ def test_detections_json_round_trip_and_first_bad_event(evs, data):
         pipeline.events_from_json(doc)
 
 
-@given(events)
+# finite times with the reprs that differ most, and times of other types,
+# which events_json_text hands to json
+json_times = (st.sampled_from([-0.0, 0.0, 1e-05, 1e16, 5e-324, -2.5e-310,
+                               1.7976931348623157e308])
+              | st.floats(allow_nan=False, allow_infinity=False)
+              | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+              | st.integers(-10 ** 20, 10 ** 20))
+json_events = st.lists(st.builds(GaitEvent, json_times, st.sampled_from(EVENT_KINDS),
+                                 st.sampled_from(EVENT_SIDES)), max_size=20)
+
+
+@given(json_events)
 def test_events_json_text_equals_json_dumps(evs):
-    assert pipeline.events_json_text(evs) == json.dumps(pipeline.events_to_json(evs), indent=2)
+    assert pipeline.events_json_text(evs) == json.dumps(pipeline.events_to_json(evs),
+                                                        indent=2, allow_nan=False)
+
+
+@given(json_events, st.integers(0, 20), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_events_json_text_raises_on_a_non_finite_time(evs, i, time_s):
+    evs.insert(min(i, len(evs)), GaitEvent(time_s, "IC", "L"))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        pipeline.events_json_text(evs)
 
 
 @pytest.mark.parametrize("time_s", [math.nan, math.inf])
