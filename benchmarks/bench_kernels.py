@@ -1,8 +1,9 @@
 """Timings of the hot kernels: the CSV load, the Madgwick loop, the
-anatomical rotation, the three event stages of a bout, the event
-readers, the event matcher, a whole ``gaitpipe evaluate`` and a
-factor-model fit, and the peak memory of ``synth.generate``,
-``process_recording``, ``write_recording`` and ``events_json_text``.
+anatomical rotation, the two stride autocorrelations and the three
+event stages of a bout, the event readers, the event matcher, a whole
+``gaitpipe evaluate`` and a factor-model fit, and the peak memory of
+``synth.generate``, ``process_recording``, ``write_recording`` and
+``events_json_text``.
 
 Run with:  PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
@@ -14,10 +15,12 @@ one call, above those live before it, i.e. MB per hour of recording:
 ``synth.generate`` making a 1 h walk, then ``process_recording`` on that
 walk, ``write_recording`` writing it and ``events_json_text`` formatting
 its detected events. Each is also given as a multiple of the walk's own
-arrays (t, accel and gyro). The event stages ``detect_events``,
-``assign_laterality`` and ``quality_check`` are timed on that walk's
-longest bout, each fed the previous stage's result, with the inputs that
-``process_recording`` gives them. The layers of ``gaitpipe evaluate``
+arrays (t, accel and gyro). ``stride_autocorr`` is timed (best of 15)
+on that walk's longest bout, of its vertical and its antero-posterior
+column as ``process_recording`` passes them. The event stages
+``detect_events``, ``assign_laterality`` and ``quality_check`` are timed
+on the same bout, each fed the previous stage's result, with the inputs
+that ``process_recording`` gives them. The layers of ``gaitpipe evaluate``
 that grow with the event count run on that walk too: the reference
 reader reads its reference CSV, the detections reader takes the loaded
 JSON document of its detected events, and the matcher pairs each kind's
@@ -172,8 +175,9 @@ def traced_peak(fn, *args):
 
 
 def time_event_stages(walk) -> None:
-    """Print the best-of-3 seconds of each event stage on the longest bout
-    of walk, with the inputs that process_recording gives it."""
+    """Print the best-of-15 seconds of each stride autocorrelation and the
+    best-of-3 seconds of each event stage on the longest bout of walk,
+    with the inputs that process_recording gives them."""
     cfg = DEFAULT_CONFIG
     rec = ingest.lowpass_accel(ingest.ensure_uniform(walk), cfg.lowpass_cutoff_hz)
     aligned = orientation.align_recording(rec, beta=cfg.madgwick_beta)
@@ -188,6 +192,11 @@ def time_event_stages(walk) -> None:
         accel_an, fs, stride_s, bout.vertical_autocorr,
         segmentation.stride_autocorr(accel_an[:, 1], fs, cfg), cfg)
     gyro = aligned.gyro[bout.samples]
+
+    for name, column in (("vertical", aligned.vertical_accel[bout.samples]),
+                         ("AP", accel_an[:, 1])):
+        seconds = best_of(segmentation.stride_autocorr, column, fs, cfg, repeats=15)
+        print(f"stride_autocorr {name} ({len(column)} samples): {seconds * 1e3:9.1f} ms")
 
     detected = stepdetect.detect_events(accel_an, fs, params, t0=bout.start_s)
     sided = stepdetect.assign_laterality(detected, gyro, fs, t0=bout.start_s)

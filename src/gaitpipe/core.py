@@ -451,13 +451,16 @@ def random_unit_quat(rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Filtering
 
+LOWPASS_MIN_SAMPLES = 10    # the order-2 filtfilt of lowpass pads each edge with 9 samples
+
+
 def lowpass(x: np.ndarray, cutoff_hz: float, fs: float,
             padtype: str = "odd") -> np.ndarray:
     """Zero-phase second-order Butterworth low-pass along axis 0.
 
     filtfilt pads each edge with 9 samples (``padtype`` "odd" or "even"
-    extension) before the forward-backward pass, so x needs at least 10
-    samples; cutoff_hz must be below the Nyquist frequency fs / 2.
+    extension), so x needs at least LOWPASS_MIN_SAMPLES samples;
+    cutoff_hz must be below the Nyquist frequency fs / 2.
     """
     b, a = butter(2, cutoff_hz, fs=fs)
     return filtfilt(b, a, x, axis=0, padtype=padtype)

@@ -21,6 +21,7 @@ from .core import (
     DEFAULT_CONFIG,
     ImuRecording,
     InsufficientDataError,
+    LOWPASS_MIN_SAMPLES,
     ParseError,
     PipelineConfig,
     echo,
@@ -197,8 +198,8 @@ def resample(rec: ImuRecording, target_rate: float) -> ImuRecording:
     grid = t0 + np.arange(n) / target_rate
     accel = np.column_stack([np.interp(grid, rec.t, rec.accel[:, k]) for k in range(3)])
     gyro = np.column_stack([np.interp(grid, rec.t, rec.gyro[:, k]) for k in range(3)])
-    return ImuRecording(t=grid, accel=accel, gyro=gyro, sample_rate=float(target_rate),
-                        device_id=rec.device_id, session_id=rec.session_id)
+    return dataclasses.replace(rec, t=grid, accel=accel, gyro=gyro,
+                               sample_rate=float(target_rate))
 
 
 def ensure_uniform(rec: ImuRecording, target_rate: float | None = None) -> ImuRecording:
@@ -221,17 +222,16 @@ def lowpass_accel(rec: ImuRecording,
     """Zero-phase second-order Butterworth low-pass on the accelerometer.
 
     The gyroscope passes through unchanged. Edges are reflect-padded by
-    filtfilt before the forward-backward pass, so at least 10 samples are
-    needed.
+    filtfilt before the forward-backward pass, so at least
+    LOWPASS_MIN_SAMPLES samples are needed.
     """
     if rec.sample_rate is None:
         raise ContractError("recording must be uniformly sampled before filtering")
-    if len(rec.t) < 10:
-        raise InsufficientDataError("low-pass filtering needs at least 10 samples")
+    if len(rec.t) < LOWPASS_MIN_SAMPLES:
+        raise InsufficientDataError(
+            f"low-pass filtering needs at least {LOWPASS_MIN_SAMPLES} samples")
     nyq = rec.sample_rate / 2.0
     if cutoff >= nyq:
         raise ConfigurationError(f"cutoff {cutoff} Hz >= Nyquist {nyq} Hz")
     accel = lowpass(rec.accel, cutoff, rec.sample_rate, padtype="even")
-    return ImuRecording(t=rec.t, accel=accel, gyro=rec.gyro,
-                        sample_rate=rec.sample_rate,
-                        device_id=rec.device_id, session_id=rec.session_id)
+    return dataclasses.replace(rec, accel=accel)

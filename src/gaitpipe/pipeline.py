@@ -17,6 +17,7 @@ from .core import (
     GaitEvent,
     ImuRecording,
     InsufficientDataError,
+    LOWPASS_MIN_SAMPLES,
     AmbiguousDirectionError,
     ParseError,
     PipelineConfig,
@@ -25,8 +26,6 @@ from .core import (
     gait_events,
 )
 
-# the accelerometer low-pass pads each edge with 9 samples
-MIN_SAMPLES = 10
 _EVENT_TEXT = '  {\n    "time_s": %r,\n    "kind": "%s",\n    "side": "%s"\n  }'
 
 
@@ -46,15 +45,15 @@ class PipelineResult:
 
 
 def _need_samples(rec: ImuRecording, where: str = "") -> None:
-    if len(rec.t) < MIN_SAMPLES:
+    if len(rec.t) < LOWPASS_MIN_SAMPLES:
         raise InsufficientDataError(
-            f"processing needs at least {MIN_SAMPLES} samples, got {len(rec.t)}{where}")
+            f"processing needs at least {LOWPASS_MIN_SAMPLES} samples, got {len(rec.t)}{where}")
 
 
 def process_recording(rec: ImuRecording,
                       config: PipelineConfig = DEFAULT_CONFIG) -> PipelineResult:
     """Run ingest regularization through step detection on one recording
-    of at least MIN_SAMPLES samples, and as many on its uniform grid."""
+    of at least LOWPASS_MIN_SAMPLES samples, and as many on its uniform grid."""
     rec.validate()
     _need_samples(rec)
     rec = ingest.ensure_uniform(rec, config.resample_hz)
@@ -96,7 +95,8 @@ def process_recording(rec: ImuRecording,
         except (InsufficientDataError, AmbiguousDirectionError) as exc:
             results.append(BoutResult(bout.start_s, bout.end_s, [], str(exc)))
             continue
-        results.append(BoutResult(bout.start_s, bout.end_s, events))
+        reason = None if events else "no event passed detection and quality control"
+        results.append(BoutResult(bout.start_s, bout.end_s, events, reason))
         # bouts are in time order and each one's events lie in
         # [start_s, end_s), so the recording's events need no sort
         all_events.extend(events)

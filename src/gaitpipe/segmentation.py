@@ -5,11 +5,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 from scipy.signal import find_peaks
 
 from .core import (DEFAULT_CONFIG, GravityAlignedRecording, PipelineConfig, Segment,
-                   SegmentKind, lowpass)
+                   SegmentKind, LOWPASS_MIN_SAMPLES, lowpass)
 
 
 @dataclass
@@ -91,26 +90,13 @@ def segment(rec: GravityAlignedRecording, cfg: PipelineConfig = DEFAULT_CONFIG) 
     if not len(bounds):
         return []
     t0 = rec.t[0]
-    fs = rec.sample_rate
-    spans = []  # (start_s, end_s, moving)
-    for a, b, val in flag_runs(moving):
-        spans.append([t0 + bounds[a][0] / fs, t0 + (bounds[b - 1][1]) / fs, val])
-
-    # merge non-moving intervals separated by short moving gaps
-    merged = []
-    i = 0
-    while i < len(spans):
-        cur = spans[i]
-        if not cur[2]:
-            while (i + 2 < len(spans) and spans[i + 1][2]
-                   and not spans[i + 2][2]
-                   and spans[i + 2][0] - cur[1] < cfg.merge_gap_s):
-                cur = [cur[0], spans[i + 2][1], False]
-                i += 2
-        merged.append(cur)
-        i += 1
-
-    return label_runs(merged, t0, t0 + bounds[-1][1] / fs, cfg)
+    starts, ends = t0 + bounds.T / rec.sample_rate
+    # a moving run between two rests that lasts under merge_gap_s joins them
+    for a, b, val in flag_runs(moving)[1:-1]:
+        if val and ends[b - 1] - starts[a] < cfg.merge_gap_s:
+            moving[a:b] = False
+    runs = [(starts[a], ends[b - 1], val) for a, b, val in flag_runs(moving)]
+    return label_runs(runs, t0, ends[-1], cfg)
 
 
 def label_runs(runs, start_s: float, end_s: float, cfg: PipelineConfig) -> list[Segment]:
@@ -140,7 +126,7 @@ def detect_turns(rec: GravityAlignedRecording, cfg: PipelineConfig = DEFAULT_CON
     """Turn intervals from the low-pass filtered vertical angular velocity."""
     fs = rec.sample_rate
     yaw = rec.vertical_gyro
-    if len(yaw) < 10:
+    if len(yaw) < LOWPASS_MIN_SAMPLES:
         return []
     if cfg.turn_lowpass_hz < fs / 2.0:
         yaw = lowpass(yaw, cfg.turn_lowpass_hz, fs)
@@ -172,19 +158,14 @@ def unbiased_autocorr(x: np.ndarray, max_lag: int | None = None) -> np.ndarray:
     """Mean-removed, unbiased, lag-0-normalized autocorrelation at lags
     0..max_lag (all n lags when max_lag is None or at least n).
 
-    Computed by FFT (Wiener-Khinchin) with zero padding to at least
-    2n - 1, so the circular correlation equals the linear one.
+    Computed by direct lag sums at O(n*m) for m lags, so None (all n
+    lags) costs O(n^2).
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
     m = n if max_lag is None else min(max_lag + 1, n)
-    nfft = next_fast_len(2 * n - 1, real=True)
-    spec = rfft(x - x.mean(), nfft)
-    power = spec.real ** 2
-    power += spec.imag ** 2
-    del spec    # irfft makes a complex copy of power
-    r = irfft(power, nfft)[:m]
-    r = r / (n - np.arange(m))
+    d = x - x.mean()
+    r = np.correlate(np.append(d, np.zeros(m - 1)), d, "valid") / (n - np.arange(m))
     if r[0] <= 1e-12:
         return np.zeros(m)
     return r / r[0]

@@ -14,6 +14,7 @@ from .core import (
     FC,
     IC,
     InsufficientDataError,
+    LOWPASS_MIN_SAMPLES,
     NoCadenceError,
     PipelineConfig,
     SIDE_LEFT,
@@ -171,7 +172,7 @@ def assign_laterality(events: np.recarray, gyro_anatomical: np.ndarray,
     of the low-pass filtered vertical angular velocity at its sample, an
     FC's the opposite of the last IC before it (U before the first)."""
     yaw = gyro_anatomical[:, 0]
-    if len(yaw) > 15 and LATERALITY_LOWPASS_HZ < fs / 2.0:
+    if len(yaw) >= LOWPASS_MIN_SAMPLES and LATERALITY_LOWPASS_HZ < fs / 2.0:
         yaw = lowpass(yaw, LATERALITY_LOWPASS_HZ, fs)
     rate = yaw[np.clip(np.rint((events.time_s - t0) * fs), 0, len(yaw) - 1).astype(int)]
     sign = np.where(np.abs(rate) < LATERALITY_MIN_RAD_S, 0, np.sign(rate)).astype(int)

@@ -68,6 +68,23 @@ class TestWorkflow:
             outs.append(ev.read_text())
         assert outs[0] == outs[1]
 
+    def test_bout_without_events_reported(self, tmp_path, capsys, monkeypatch):
+        recording = tmp_path / "rec.csv"
+        run(["synth", "--seed", "3", "--out-recording", recording,
+             "--out-events", tmp_path / "t.csv",
+             "--out-segments", tmp_path / "s.json"])
+        monkeypatch.setattr(pipeline.stepdetect, "quality_check",
+                            lambda events, stride_s: events[:0])
+        capsys.readouterr()
+        assert run(["process", recording, "--out-events", tmp_path / "events.json",
+                    "--out-segments", tmp_path / "segs.json"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "0 events in 0 bouts\n"
+        lines = err.splitlines()
+        assert lines and all(line.startswith("bout ") and line.endswith(
+            " s skipped: no event passed detection and quality control") for line in lines)
+        assert json.loads((tmp_path / "events.json").read_text()) == []
+
     def test_process_with_config_file(self, tmp_path):
         recording = tmp_path / "rec.csv"
         run(["synth", "--seed", "4", "--out-recording", recording,

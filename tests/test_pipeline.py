@@ -213,6 +213,17 @@ class TestProcessRecording:
         assert len(result.bouts) == 1 and result.bouts[0].skipped_reason is None
         assert len(calls) == 2
 
+    def test_bout_without_events_has_a_reason(self, monkeypatch):
+        """A verified bout whose events all fail quality control is
+        recorded as skipped, with a reason, not as a bout of no events."""
+        monkeypatch.setattr(stepdetect, "quality_check", lambda events, stride_s: events[:0])
+        rec, _, _, _ = synth.generate(synth.SynthConfig(duration_s=30.0, seed=0))
+        result = pipeline.process_recording(rec)
+        assert result.events == [] and result.bouts
+        for bout in result.bouts:
+            assert bout.events == []
+            assert bout.skipped_reason == "no event passed detection and quality control"
+
     def test_short_walk_processed(self):
         """A bout between min_bout_s and 3 s gets events, not a skip."""
         script = [Phase("rest", 5.0), Phase("walk", 2.2), Phase("rest", 5.0)]

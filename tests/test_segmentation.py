@@ -33,9 +33,9 @@ def direct_autocorr(x):
     return r / r[0]
 
 
-def reference_autocorr(x, max_lag=None):
-    """unbiased_autocorr with its power spectrum in one expression (the
-    reference for the in-place one, which must match it exactly)."""
+def fft_autocorr(x, max_lag=None):
+    """unbiased_autocorr by FFT (Wiener-Khinchin) with zero padding to at
+    least 2n - 1 (the reference at lengths where direct_autocorr is slow)."""
     x = np.asarray(x, dtype=float)
     x = x - x.mean()
     n = len(x)
@@ -78,6 +78,48 @@ def loop_window_bounds(n_samples, fs, cfg):
     if n_samples - start >= max(2, int(round(cfg.window_s * fs / 2))):
         bounds.append((start, n_samples))
     return bounds
+
+
+def loop_segment(rec, cfg):
+    """segment with its rests merged by a nested while loop (the
+    reference for its one pass over the moving runs)."""
+    moving, bounds = segmentation.classify_windows(rec, cfg)
+    if not len(bounds):
+        return []
+    t0 = rec.t[0]
+    fs = rec.sample_rate
+    spans = []  # (start_s, end_s, moving)
+    for a, b, val in segmentation.flag_runs(moving):
+        spans.append([t0 + bounds[a][0] / fs, t0 + (bounds[b - 1][1]) / fs, val])
+
+    merged = []
+    i = 0
+    while i < len(spans):
+        cur = spans[i]
+        if not cur[2]:
+            while (i + 2 < len(spans) and spans[i + 1][2]
+                   and not spans[i + 2][2]
+                   and spans[i + 2][0] - cur[1] < cfg.merge_gap_s):
+                cur = [cur[0], spans[i + 2][1], False]
+                i += 2
+        merged.append(cur)
+        i += 1
+
+    return segmentation.label_runs(merged, t0, t0 + bounds[-1][1] / fs, cfg)
+
+
+def segment_with_flags(flags, t0, fs, cfg):
+    """(segment, loop_segment) of a recording starting at t0 whose windows
+    classify_windows flags as given."""
+    n = len(flags) * segmentation.window_length(fs, cfg)
+    rec = GravityAlignedRecording(t=t0 + np.arange(n) / fs, accel=np.zeros((n, 3)),
+                                  gyro=np.zeros((n, 3)), sample_rate=fs)
+    bounds = segmentation.window_bounds(n, fs, cfg)
+    assert len(bounds) == len(flags)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segmentation, "classify_windows",
+                   lambda rec, cfg: (np.array(flags, dtype=bool), bounds))
+        return segmentation.segment(rec, cfg), loop_segment(rec, cfg)
 
 
 def static_aligned(duration_s, fs=50.0):
@@ -178,7 +220,16 @@ class TestUnbiasedAutocorr:
                 m = n if max_lag is None else min(max_lag + 1, n)
                 assert got.shape == (m,)
                 np.testing.assert_allclose(got, want[:m], rtol=0, atol=1e-12)
-                assert np.array_equal(got, reference_autocorr(x, max_lag))
+
+    def test_matches_fft_on_an_hour(self):
+        """At the length of a 1 h bout at 50 Hz and the stride band's lag
+        count, the lag sums match the FFT expression."""
+        rng = np.random.default_rng(6)
+        t = np.arange(180_000) / 50.0
+        x = G + 2.0 * np.sin(2 * np.pi * t / 0.55) + rng.normal(0.0, 1.0, len(t))
+        got = segmentation.unbiased_autocorr(x, 114)
+        assert got.shape == (115,)
+        np.testing.assert_allclose(got, fft_autocorr(x, 114), rtol=0, atol=1e-12)
 
     def test_constant_input_gives_zeros(self):
         for n in (1, 7, 500):
@@ -243,6 +294,31 @@ class TestSegment:
         segs = segmentation.segment(ga, cfg)
         kinds = [s.kind for s in segs]
         assert SegmentKind.SHORT_REST in kinds
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=60), st.floats(25.0, 100.0),
+           st.floats(0.2, 1.5), st.floats(0.05, 3.0), st.floats(-1e4, 1e4))
+    def test_rest_merge_matches_loop(self, flags, fs, window_s, merge_gap_s, t0):
+        cfg = PipelineConfig(window_s=window_s, merge_gap_s=merge_gap_s)
+        got, want = segment_with_flags(flags, t0, fs, cfg)
+        assert [(s.start_s, s.end_s, s.kind) for s in got] == \
+            [(s.start_s, s.end_s, s.kind) for s in want]
+        assert all(type(s.start_s) is float and type(s.end_s) is float for s in got)
+
+    def test_chained_rest_merge(self):
+        """Rest, short move, rest, short move, rest between two walks: both
+        moves are under merge_gap_s, so the three rests become one; a move
+        of merge_gap_s or more keeps the rests on either side apart."""
+        cfg = PipelineConfig(window_s=0.5, merge_gap_s=1.5)
+        runs = [(True, 6), (False, 6), (True, 2), (False, 3), (True, 1), (False, 6),
+                (True, 3), (False, 3), (True, 6)]
+        flags = [val for val, k in runs for _ in range(k)]
+        got, want = segment_with_flags(flags, 3.0, 50.0, cfg)
+        assert [(s.start_s, s.end_s, s.kind) for s in got] == \
+            [(s.start_s, s.end_s, s.kind) for s in want]
+        assert [(s.start_s, s.end_s, s.kind) for s in got] == [
+            (3.0, 6.0, SegmentKind.GAIT_BOUT), (6.0, 15.0, SegmentKind.LONG_REST),
+            (15.0, 16.5, SegmentKind.UNKNOWN), (16.5, 18.0, SegmentKind.SHORT_REST),
+            (18.0, 21.0, SegmentKind.GAIT_BOUT)]
 
     def test_partition_no_overlap(self):
         script = [Phase("rest", 3.0), Phase("walk", 8.0), Phase("rest", 2.5),

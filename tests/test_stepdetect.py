@@ -13,6 +13,7 @@ from gaitpipe.core import (
     GaitEvent,
     IC,
     InsufficientDataError,
+    LOWPASS_MIN_SAMPLES,
     NoCadenceError,
     PipelineConfig,
     SIDE_LEFT,
@@ -59,7 +60,7 @@ def reference_detect_events(accel_anatomical, fs, params, t0=0.0):
 def reference_assign_laterality(events, gyro_anatomical, fs, t0=0.0):
     opposite = {SIDE_LEFT: SIDE_RIGHT, SIDE_RIGHT: SIDE_LEFT, SIDE_UNKNOWN: SIDE_UNKNOWN}
     yaw = gyro_anatomical[:, 0]
-    if len(yaw) > 15 and LATERALITY_LOWPASS_HZ < fs / 2.0:
+    if len(yaw) >= LOWPASS_MIN_SAMPLES and LATERALITY_LOWPASS_HZ < fs / 2.0:
         yaw = lowpass(yaw, LATERALITY_LOWPASS_HZ, fs)
     out = []
     last_ic_side = SIDE_UNKNOWN
@@ -296,6 +297,19 @@ class TestLaterality:
         swap = {SIDE_LEFT: SIDE_RIGHT, SIDE_RIGHT: SIDE_LEFT,
                 SIDE_UNKNOWN: SIDE_UNKNOWN}
         assert [e.side for e in flipped] == [swap[e.side] for e in sided]
+
+    def test_twelve_sample_yaw_is_filtered(self):
+        """A bout of 12 samples, at least LOWPASS_MIN_SAMPLES, has its
+        vertical rate low-pass filtered before the sides are read: the
+        alternation at the Nyquist rate goes and the slow turn decides."""
+        fs, t0 = 8.0, 1.0
+        i = np.arange(12)
+        gyro = np.zeros((12, 3))
+        gyro[:, 0] = 0.3 * (-1.0) ** i + 0.2 * np.sin(2 * np.pi * i / 12)
+        events = [GaitEvent(t0 + k / fs, IC) for k in i.tolist()]
+        sided = stepdetect.assign_laterality(train(events), gyro, fs, t0=t0)
+        assert gait_events(sided) == reference_assign_laterality(events, gyro, fs, t0=t0)
+        assert sided.side.tolist() == [SIDE_LEFT] * 6 + [SIDE_UNKNOWN] + [SIDE_RIGHT] * 5
 
     def test_fc_inherits_opposite_side(self):
         sided, _, _, _ = self._detected_with_sides()
